@@ -36,7 +36,7 @@ from .explainers import (
     explain_lpi,
     explain_shap,
 )
-from .groundtruth import GroundTruth, ground_truth, ground_truth_gnb, ground_truth_lr
+from .groundtruth import GroundTruth, ground_truth
 from .models import (
     GaussianNBModel,
     LogisticModel,

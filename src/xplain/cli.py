@@ -42,9 +42,15 @@ PREPROCESS_FLAGS = {
 
 def _workers() -> int:
     env = os.environ.get("XPLAIN_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise XplainError(f"XPLAIN_THREADS must be a positive integer, got {env!r}")
+    return workers
 
 
 def _explainer_config(args) -> ExplainerConfig:
@@ -169,41 +175,32 @@ def cmd_evaluate(args) -> int:
     reports: list[tuple[Path, dict]] = []
     failed = False
 
-    for cfg_path in args.dataset:
-        name = Path(cfg_path).stem
+    def run_stage(name: str, stage: str, fn, *fn_args, **fn_kwargs):
+        """fn's result, or None after a one-line diagnostic naming dataset and stage."""
+        nonlocal failed
         try:
-            dataset, spec = _prepare(cfg_path, args.preprocess)
-            name = dataset.name
-        except Exception as exc:  # noqa: BLE001 - diagnostics per dataset
-            print(f"error: dataset {name!r} failed at stage data: {exc}", file=sys.stderr)
+            return fn(*fn_args, **fn_kwargs)
+        except Exception as exc:  # noqa: BLE001 - diagnostics per dataset and stage
+            print(f"error: dataset {name!r} failed at stage {stage}: {exc}", file=sys.stderr)
             failed = True
+            return None
+
+    for cfg_path in args.dataset:
+        prepared = run_stage(Path(cfg_path).stem, "data", _prepare, cfg_path, args.preprocess)
+        if prepared is None:
             continue
+        dataset, spec = prepared
+        name = dataset.name
         for kind in model_kinds:
-            try:
-                handle = _train(kind, dataset, spec, args)
-            except Exception as exc:  # noqa: BLE001
-                print(
-                    f"error: dataset {name!r} failed at stage train[{kind}]: {exc}",
-                    file=sys.stderr,
-                )
-                failed = True
+            handle = run_stage(name, f"train[{kind}]", _train, kind, dataset, spec, args)
+            if handle is None:
                 continue
-            try:
-                sets = evaluate_dataset(
-                    dataset,
-                    handle,
-                    techniques,
-                    args.target,
-                    config,
-                    seed=args.seed,
-                    workers=workers,
-                )
-            except Exception as exc:  # noqa: BLE001
-                print(
-                    f"error: dataset {name!r} failed at stage evaluate[{kind}]: {exc}",
-                    file=sys.stderr,
-                )
-                failed = True
+            sets = run_stage(
+                name, f"evaluate[{kind}]", evaluate_dataset,
+                dataset, handle, techniques, args.target, config,
+                seed=args.seed, workers=workers,
+            )
+            if sets is None:
                 continue
             score_sets[kind].extend(sets)
             for s in sets:

@@ -229,6 +229,16 @@ def _solve_constrained_wls(
     return np.append(beta, (fx - base) - beta.sum())
 
 
+def _exact_coalitions(n: int):
+    """All 2^n coalitions with their Shapley kernel weights (0 for empty and full)."""
+    codes = np.arange(2**n, dtype=np.int64)
+    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+    by_size = np.zeros(n + 1)
+    for s in range(1, n):
+        by_size[s] = _shapley_kernel_weight(n, s)
+    return masks, by_size[masks.sum(axis=1)]
+
+
 def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
     """Coalitions drawn from the Shapley kernel size distribution, each paired
     with its complement; empty and full are always present. Duplicate draws
@@ -276,10 +286,12 @@ def explain_shap(
     """KernelSHAP against a seeded background sample of training rows.
 
     Coalition values marginalize off-coalition features with background rows.
-    All 2^n coalitions are enumerated when n <= 13; above that, coalitions are
-    sampled from the Shapley kernel. Attributions solve the kernel-weighted
-    least squares with the local-accuracy constraint, and base_value is the
-    background mean prediction.
+    All 2^n coalitions are enumerated when n <= 13 (sample_count = 2^n);
+    above that, coalitions are sampled from the Shapley kernel (sample_count =
+    number of draws). Either way, attributions solve the kernel-weighted least
+    squares with the local-accuracy constraint, and base_value is the
+    background mean prediction. With n = 1 that solve is empty and
+    phi = f(x) - base_value.
     """
     cfg = (config or ExplainerConfig()).shap
     x = np.asarray(x, dtype=float)
@@ -299,34 +311,19 @@ def explain_shap(
     base = float(f(background).mean())
     fx = float(f(x[None, :])[0])
 
-    if n == 1:
-        phi = np.array([fx - base])
-        sample_count = 2
-    elif n <= EXACT_SHAP_LIMIT:
-        codes = np.arange(2**n, dtype=np.int64)
-        masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
-        sizes = masks.sum(axis=1)
-        by_size = np.zeros(n + 1)
-        for s in range(1, n):
-            by_size[s] = _shapley_kernel_weight(n, s)
-        weights = by_size[sizes]
-        proper = (sizes > 0) & (sizes < n)
-        values = np.empty(len(masks))
-        values[proper] = _coalition_values(f, masks[proper], x, background)
-        values[sizes == 0] = base
-        values[sizes == n] = fx
-        phi = _solve_constrained_wls(masks, values, weights, base, fx, n)
+    if n <= EXACT_SHAP_LIMIT:
+        masks, weights = _exact_coalitions(n)
         sample_count = len(masks)
     else:
         masks, weights = _sample_coalitions(n, cfg.samples, rng)
-        sizes = masks.sum(axis=1)
-        proper = (sizes > 0) & (sizes < n)
-        values = np.empty(len(masks))
-        values[proper] = _coalition_values(f, masks[proper], x, background)
-        values[sizes == 0] = base
-        values[sizes == n] = fx
-        phi = _solve_constrained_wls(masks, values, weights, base, fx, n)
         sample_count = int(weights.sum())
+    sizes = masks.sum(axis=1)
+    proper = (sizes > 0) & (sizes < n)
+    values = np.empty(len(masks))
+    values[proper] = _coalition_values(f, masks[proper], x, background)
+    values[sizes == 0] = base
+    values[sizes == n] = fx
+    phi = _solve_constrained_wls(masks, values, weights, base, fx, n)
 
     return Explanation(
         phi=phi,

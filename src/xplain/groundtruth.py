@@ -1,10 +1,11 @@
 """Analytic per-feature ground-truth attributions from the models' log-odds.
 
-For logistic regression feature j contributes weights[j] * x[j]; for Gaussian
-naive Bayes it contributes the per-feature log density ratio. The intercept /
-prior term is kept as a separate offset: it has no feature rank and never
-enters the correlations. Both decompositions satisfy
-offset + sum(lam) == predict_logodds(x).
+The attributions are the model family's own per-feature log-odds terms
+(models.feature_terms): weights[j] * x[j] for logistic regression, the
+per-feature Gaussian log density ratio for naive Bayes. The intercept / prior
+term is kept as a separate offset: it has no feature rank and never enters the
+correlations. predict_logodds sums the same terms, so
+offset + sum(lam) == predict_logodds(x) holds by construction.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .models import (
-    GAUSSIAN_NB,
-    LOGISTIC,
-    GaussianNBModel,
-    LogisticModel,
-    ModelHandle,
-    log_density_ratio,
-    prior_logodds,
-)
+from .models import feature_terms
 
 
 @dataclass(frozen=True)
@@ -31,37 +24,17 @@ class GroundTruth:
 
     lam: np.ndarray
     offset: float
-    model_kind: str
 
     def total(self) -> float:
         return self.offset + float(np.sum(self.lam))
 
 
-def ground_truth_lr(model: LogisticModel, x: np.ndarray) -> GroundTruth:
-    """lam_j = w_j * x_j, offset = intercept."""
+def ground_truth(model, x: np.ndarray) -> GroundTruth:
+    """Ground truth for one instance x of shape (n,); model is a handle or a bare model."""
     x = np.asarray(x, dtype=float)
-    if x.shape != model.weights.shape:
+    if x.ndim != 1:
         raise DimensionMismatchError(
-            f"instance has shape {x.shape}, model expects {model.weights.shape}"
+            f"instance has shape {x.shape}, expected a single instance"
         )
-    return GroundTruth(lam=model.weights * x, offset=model.intercept, model_kind=LOGISTIC)
-
-
-def ground_truth_gnb(model: GaussianNBModel, x: np.ndarray) -> GroundTruth:
-    """lam_j = log N(x_j | class 1) - log N(x_j | class 0), offset = log prior ratio."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.mean0.shape:
-        raise DimensionMismatchError(
-            f"instance has shape {x.shape}, model expects {model.mean0.shape}"
-        )
-    return GroundTruth(
-        lam=log_density_ratio(model, x),
-        offset=prior_logodds(model),
-        model_kind=GAUSSIAN_NB,
-    )
-
-
-def ground_truth(model: ModelHandle, x: np.ndarray) -> GroundTruth:
-    if model.kind == LOGISTIC:
-        return ground_truth_lr(model.model, x)
-    return ground_truth_gnb(model.model, x)
+    offset, lam = feature_terms(model, x)
+    return GroundTruth(lam=lam, offset=offset)

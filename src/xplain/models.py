@@ -1,8 +1,10 @@
 """Logistic regression (proximal gradient, random L1/L2 search) and Gaussian naive Bayes.
 
-Both models expose class-1 probability and log-odds prediction. The log-odds
-path is computed directly from the model parameters, never through the clipped
-probability, so the additive ground-truth decomposition stays exact.
+Each family has one formula: feature_terms() splits the class-1 log-odds into
+a featureless offset plus one term per feature (w_j * x_j for LR, the
+per-feature Gaussian log density ratio for GNB). predict_logodds sums those
+terms and predict_proba is the clipped sigmoid of that sum, so the additive
+ground-truth decomposition is exact by construction.
 """
 
 from __future__ import annotations
@@ -247,19 +249,6 @@ def _check_input(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def log_density_ratio(model: GaussianNBModel, x: np.ndarray) -> np.ndarray:
-    """Per-feature log N(x | class 1) - log N(x | class 0), computed in log space."""
-
-    def logpdf(t, mu, var):
-        return -0.5 * (np.log(2.0 * np.pi * var) + (t - mu) ** 2 / var)
-
-    return logpdf(x, model.mean1, model.var1) - logpdf(x, model.mean0, model.var0)
-
-
-def prior_logodds(model: GaussianNBModel) -> float:
-    return float(np.log(model.prior1) - np.log(model.prior0))
-
-
 def _resolve(model) -> tuple[str, LogisticModel | GaussianNBModel]:
     if isinstance(model, ModelHandle):
         return model.kind, model.model
@@ -270,43 +259,42 @@ def _resolve(model) -> tuple[str, LogisticModel | GaussianNBModel]:
     raise TypeError(f"not a model: {type(model).__name__}")
 
 
+def feature_terms(model, x) -> tuple[float, np.ndarray]:
+    """Class-1 log-odds split into (offset, per-feature terms).
+
+    LR: offset = intercept, term_j = w_j * x_j. GNB: offset = log prior ratio,
+    term_j = log N(x_j | class 1) - log N(x_j | class 0). Accepts a single
+    instance (n,) or a batch (m, n); the terms have the shape of x.
+    """
+    kind, inner = _resolve(model)
+    if kind == LOGISTIC:
+        x = _check_input(x, len(inner.weights))
+        return inner.intercept, inner.weights * x
+    x = _check_input(x, len(inner.mean0))
+
+    def logpdf(mu, var):
+        return -0.5 * (np.log(2.0 * np.pi * var) + (x - mu) ** 2 / var)
+
+    offset = float(np.log(inner.prior1) - np.log(inner.prior0))
+    return offset, logpdf(inner.mean1, inner.var1) - logpdf(inner.mean0, inner.var0)
+
+
 def predict_logodds(model, x) -> float | np.ndarray:
-    """Class-1 log-odds, computed directly from the model parameters.
+    """Class-1 log-odds: offset + sum of the per-feature terms.
 
     Accepts a single instance (n,) or a batch (m, n); returns a float for a
     single instance.
     """
-    kind, inner = _resolve(model)
-    if kind == LOGISTIC:
-        x = _check_input(x, len(inner.weights))
-        out = np.sum(inner.weights * x, axis=-1) + inner.intercept
-    else:
-        x = _check_input(x, len(inner.mean0))
-        out = prior_logodds(inner) + np.sum(log_density_ratio(inner, x), axis=-1)
-    return float(out) if x.ndim == 1 else out
+    offset, terms = feature_terms(model, x)
+    out = offset + np.sum(terms, axis=-1)
+    return float(out) if terms.ndim == 1 else out
 
 
 def predict_proba(model, x) -> float | np.ndarray:
-    """Class-1 probability, clipped to [1e-12, 1 - 1e-12].
-
-    The Gaussian NB path goes through log-space joint likelihoods with
-    log-sum-exp normalization rather than the log-odds shortcut.
-    """
-    kind, inner = _resolve(model)
-    if kind == LOGISTIC:
-        x = _check_input(x, len(inner.weights))
-        p = _sigmoid(np.sum(inner.weights * x, axis=-1) + inner.intercept)
-    else:
-        x = _check_input(x, len(inner.mean0))
-
-        def logpdf(t, mu, var):
-            return -0.5 * (np.log(2.0 * np.pi * var) + (t - mu) ** 2 / var)
-
-        l1 = np.log(inner.prior1) + np.sum(logpdf(x, inner.mean1, inner.var1), axis=-1)
-        l0 = np.log(inner.prior0) + np.sum(logpdf(x, inner.mean0, inner.var0), axis=-1)
-        p = np.exp(l1 - np.logaddexp(l0, l1))
-    p = np.clip(p, PROBA_CLIP, 1.0 - PROBA_CLIP)
-    return float(p) if x.ndim == 1 else p
+    """Class-1 probability: sigmoid of the log-odds, clipped to [1e-12, 1 - 1e-12]."""
+    z = predict_logodds(model, x)
+    p = np.clip(_sigmoid(np.asarray(z)), PROBA_CLIP, 1.0 - PROBA_CLIP)
+    return float(p) if np.ndim(z) == 0 else p
 
 
 def accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
@@ -327,6 +315,8 @@ def handle_to_dict(handle: ModelHandle) -> dict:
             "strength": m.strength,
             "iterations": m.iterations,
             "final_objective": m.final_objective,
+            "objective_checkpoints": [float(v) for v in m.objective_checkpoints],
+            "converged": m.converged,
         }
     else:
         m = handle.model
@@ -354,6 +344,10 @@ def handle_from_dict(raw: dict) -> ModelHandle:
             strength=float(inner["strength"]),
             iterations=int(inner.get("iterations", 0)),
             final_objective=float(inner.get("final_objective", float("nan"))),
+            objective_checkpoints=tuple(
+                float(v) for v in inner.get("objective_checkpoints", ())
+            ),
+            converged=bool(inner.get("converged", True)),
         )
     elif kind == GAUSSIAN_NB:
         model = GaussianNBModel(

@@ -1,5 +1,6 @@
 """Shared helpers for building small datasets and models in tests."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from xplain.data import ColumnSpec, Dataset
 from xplain.models import LogisticModel, ModelHandle
 
-DATASETS_DIR = Path(__file__).resolve().parents[1] / "src" / "xplain" / "datasets"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+DATASETS_DIR = SRC_DIR / "xplain" / "datasets"
+
+# pytest's `pythonpath` setting reaches this process only; `python -m xplain`
+# children must import the same checkout
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+)
 
 BUNDLED = ["banking", "banknote", "haberman", "hr", "iris_binary", "pima"]
 

@@ -17,7 +17,7 @@ import pytest
 from xplain import data
 from xplain.evaluation import evaluate_dataset, rank_techniques, spearman
 from xplain.explainers import ExplainerConfig, explain_lpi, explain_shap
-from xplain.groundtruth import ground_truth_gnb, ground_truth_lr
+from xplain.groundtruth import ground_truth
 from xplain.models import (
     GaussianNBModel,
     LogisticModel,
@@ -78,7 +78,7 @@ def test_criterion_1_additivity_oracles():
         n = int(rng.integers(1, 20))
         lr = LogisticModel(rng.normal(0, 2, n), float(rng.normal()), "l2", 0.0)
         x = rng.normal(0, 3, n)
-        gt = ground_truth_lr(lr, x)
+        gt = ground_truth(lr, x)
         assert gt.total() - predict_logodds(lr, x) == 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 20))
@@ -88,7 +88,7 @@ def test_criterion_1_additivity_oracles():
             prior0=0.3, prior1=0.7,
         )
         x = rng.normal(0, 3, n)
-        gt = ground_truth_gnb(gnb, x)
+        gt = ground_truth(gnb, x)
         worst_gnb = max(worst_gnb, abs(gt.total() - predict_logodds(gnb, x)))
     elapsed = time.time() - start
     report(1, "additivity identities (LR exact, GNB < 1e-9, 1000 pairs each)",

@@ -113,7 +113,7 @@ class TestEvaluate:
         ])
         assert code == 1
 
-    def test_missing_dataset_partial_failure(self, tmp_path):
+    def test_missing_dataset_partial_failure(self, tmp_path, capsys):
         code = cli.main([
             "evaluate",
             "--dataset", str(tmp_path / "nope.json"),
@@ -125,6 +125,22 @@ class TestEvaluate:
         assert code == 1
         # the healthy dataset still produced its report
         assert (tmp_path / "out" / "iris_binary__gnb.report.json").exists()
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: dataset 'nope' failed at stage data: ")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_count_one_line_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("XPLAIN_THREADS", value)
+        code = cli.main([
+            "evaluate", "--dataset", ds_config("iris_binary"),
+            "--out", str(tmp_path), *FAST_FLAGS,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: XPLAIN_THREADS must be a positive integer, got '{value}'\n"
+        )
 
 
 def run_explain(extra):

@@ -99,6 +99,7 @@ class TestShap:
         f = lambda Z: predict_logodds(handle, Z)
         expected = f(x) - np.mean(f(ds.X_train))
         assert e.phi[0] == pytest.approx(expected, abs=1e-12)
+        assert e.sample_count == 2**1
 
     def test_exact_matches_linear_closed_form(self):
         # training set of <= 100 rows, so the background is the whole split
@@ -111,6 +112,7 @@ class TestShap:
             e = explain_shap(handle, x, ds, seed=3)
             closed = w * (x - ds.X_train.mean(axis=0))
             assert np.max(np.abs(e.phi - closed)) < 1e-6
+            assert e.sample_count == 2**n
 
     def test_constant_model_zero(self):
         ds = numeric_dataset(np.random.default_rng(7).normal(0, 1, (50, 4)))
@@ -160,6 +162,8 @@ class TestShap:
         e = explain_shap(handle, x, ds, cfg, seed=8)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-6
+        # draws come in complement pairs after empty + full, so 3000 draws exactly
+        assert e.sample_count == 3000
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)

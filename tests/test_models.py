@@ -7,6 +7,7 @@ import pytest
 from xplain import data
 from xplain.errors import ConvergenceError, DimensionMismatchError
 from xplain.models import (
+    PROBA_CLIP,
     GaussianNBModel,
     LogisticModel,
     ModelHandle,
@@ -16,6 +17,7 @@ from xplain.models import (
     handle_to_dict,
     predict_logodds,
     predict_proba,
+    _sigmoid,
     train_gnb,
     train_logistic,
 )
@@ -204,6 +206,25 @@ class TestPredict:
             for i in range(5):
                 assert batch[i] == pytest.approx(predict_logodds(handle, X[i]), abs=1e-12)
 
+    def test_proba_is_clipped_sigmoid_of_logodds(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(0, 1, (60, 4))
+        y = (rng.random(60) < 0.5).astype(int)
+        y[:2] = [0, 1]
+        batch = rng.normal(0, 8, (50, 4))  # wide enough to reach the clip
+        for handle in (
+            ModelHandle("lr", LogisticModel(rng.normal(0, 3, 4), 0.2, "l2", 0.0)),
+            ModelHandle("gnb", train_gnb(X, y)),
+        ):
+            expected = np.clip(
+                _sigmoid(predict_logodds(handle, batch)), PROBA_CLIP, 1.0 - PROBA_CLIP
+            )
+            assert np.array_equal(predict_proba(handle, batch), expected)
+            for i in range(5):
+                single = predict_proba(handle, batch[i])
+                assert isinstance(single, float)
+                assert single == expected[i]
+
     def test_dimension_mismatch(self):
         handle = ModelHandle("lr", LogisticModel(np.zeros(3), 0.0, "l2", 0.0))
         with pytest.raises(DimensionMismatchError):
@@ -230,9 +251,15 @@ class TestSerialization:
         for handle in (
             ModelHandle("lr", fit_logistic(X, y, "l1", 0.5), preprocess=spec),
             ModelHandle("gnb", train_gnb(X, y), preprocess=spec),
+            # stopped early: not converged, two objective checkpoints
+            ModelHandle("lr", fit_logistic(X, y, "l2", 0.1, max_iter=3), preprocess=spec),
         ):
             blob = json.dumps(handle_to_dict(handle), sort_keys=True)
             back = handle_from_dict(json.loads(blob))
+            if handle.kind == "lr":
+                for attr in ("iterations", "final_objective",
+                             "objective_checkpoints", "converged"):
+                    assert getattr(back.model, attr) == getattr(handle.model, attr), attr
             x = rng.normal(0, 1, 3)
             assert predict_logodds(back, x) == pytest.approx(
                 predict_logodds(handle, x), abs=1e-15
