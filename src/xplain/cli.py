@@ -162,6 +162,9 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     techniques = [t.strip() for t in args.technique.split(",") if t.strip()]
+    if not techniques:
+        print("error: --technique names no technique", file=sys.stderr)
+        return 1
     for t in techniques:
         if t not in TECHNIQUES:
             print(f"error: unknown technique {t!r}", file=sys.stderr)
@@ -211,19 +214,17 @@ def cmd_evaluate(args) -> int:
                         file=sys.stderr,
                     )
             dataset_ranks = rank_techniques(sets).per_dataset[name]
-            gt_block = []
-            for k in range(dataset.X_test.shape[0]):
-                gt = ground_truth(handle, dataset.X_test[k])
-                gt_block.append(
-                    {
-                        "instance": k,
-                        "offset": gt.offset,
-                        "values": [
-                            {"feature": f, "value": float(v)}
-                            for f, v in zip(dataset.feature_names, gt.lam)
-                        ],
-                    }
-                )
+            gt_block = [
+                {
+                    "instance": k,
+                    "offset": gt.offset,
+                    "values": [
+                        {"feature": f, "value": float(v)}
+                        for f, v in zip(dataset.feature_names, gt.lam)
+                    ],
+                }
+                for k, gt in enumerate(sets[0].ground_truths)
+            ]
             report = {
                 "dataset": name,
                 "model": kind,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidConfigError,
     InvalidFractionError,
     NonBinaryTargetError,
     StratificationError,
@@ -51,8 +52,16 @@ class DatasetConfig:
     @staticmethod
     def from_json(path: str | Path) -> "DatasetConfig":
         path = Path(path)
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidConfigError(f"{path}: not a JSON object ({exc})") from None
+        if not isinstance(raw, dict):
+            raise InvalidConfigError(f"{path}: not a JSON object")
+        for key in ("csv_path", "target_column", "positive_label"):
+            if key not in raw:
+                raise InvalidConfigError(f"{path}: missing required key {key!r}")
         csv_path = Path(raw["csv_path"])
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path

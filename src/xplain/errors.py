@@ -5,6 +5,10 @@ class XplainError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidConfigError(XplainError, ValueError):
+    """A configuration value is missing, malformed or out of range."""
+
+
 class NonBinaryTargetError(XplainError):
     """The target column does not carry exactly two label values."""
 

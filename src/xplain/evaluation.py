@@ -1,8 +1,9 @@
 """Per-instance rank correlation against ground truth, plus the aggregations.
 
 One score per (instance, technique): Spearman correlation between the
-explanation vector and the analytic attribution vector. Scores aggregate to a
-per-dataset median and, across datasets, to per-technique average ranks
+explanation vector and the instance's analytic attribution vector, which is
+computed once per instance. Scores aggregate to a per-dataset median and,
+across datasets, to per-technique average ranks
 (rank 1 = highest median, lower average rank = better).
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatchError, VectorTooShortError
 from .explainers import ExplainerConfig, explain
-from .groundtruth import ground_truth
+from .groundtruth import GroundTruth, ground_truth
 from .models import ModelHandle
 
 SIGNIFICANT_CORRELATION = 0.7
@@ -36,7 +37,8 @@ class CorrelationScore:
 
 @dataclass(frozen=True)
 class DatasetScoreSet:
-    """All per-instance scores for one (dataset, model, technique) cell."""
+    """All per-instance scores for one (dataset, model, technique) cell; the
+    cell's sets share one ground_truths tuple, one entry per test instance."""
 
     dataset_id: str
     model_kind: str
@@ -49,6 +51,7 @@ class DatasetScoreSet:
     whisker_high: float
     degenerate_count: int
     significant_count: int
+    ground_truths: tuple[GroundTruth, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -109,20 +112,24 @@ def derive_seed(seed: int, index: int) -> int:
 def evaluate_instance(
     x: np.ndarray,
     model: ModelHandle,
-    technique: str,
+    techniques: list[str],
     target_space: str,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
     seed: int = 0,
     instance_index: int | None = None,
-) -> CorrelationScore:
-    """Explain one instance, extract its ground truth, correlate the two."""
+) -> tuple[GroundTruth, list[CorrelationScore]]:
+    """One instance's ground truth, extracted once, and one score per technique
+    (in order) correlating its explanation with it; "groundtruth" scores lam."""
     gt = ground_truth(model, x)
-    if technique == "groundtruth":
-        phi = gt.lam
-    else:
-        phi = explain(technique, target_space, model, x, dataset, config, seed).phi
-    return spearman(phi, gt.lam, instance_index=instance_index, technique=technique)
+    scores = []
+    for technique in techniques:
+        if technique == "groundtruth":
+            phi = gt.lam
+        else:
+            phi = explain(technique, target_space, model, x, dataset, config, seed).phi
+        scores.append(spearman(phi, gt.lam, instance_index=instance_index, technique=technique))
+    return gt, scores
 
 
 def summarize_scores(
@@ -130,6 +137,7 @@ def summarize_scores(
     model_kind: str,
     technique: str,
     scores: list[CorrelationScore],
+    ground_truths: tuple[GroundTruth, ...] = (),
 ) -> DatasetScoreSet:
     """Median, quartiles (linear interpolation) and Tukey whiskers of the scores."""
     r = np.array([s.r for s in scores])
@@ -148,6 +156,7 @@ def summarize_scores(
         whisker_high=float(inside.max()),
         degenerate_count=sum(s.degenerate for s in scores),
         significant_count=int(np.sum(r > SIGNIFICANT_CORRELATION)),
+        ground_truths=ground_truths,
     )
 
 
@@ -160,36 +169,35 @@ def evaluate_dataset(
     seed: int = 0,
     workers: int = 1,
 ) -> list[DatasetScoreSet]:
-    """Run every technique over every test instance; instance k uses the seed
-    derived from (seed, k), so results do not depend on worker scheduling."""
+    """One job per test instance: its ground truth and every technique's score.
+    Instance k uses the seed derived from (seed, k), so results do not depend on
+    worker scheduling. Returns one score set per technique, in the order given."""
     m = dataset.X_test.shape[0]
     if m == 0:
         raise ValueError(f"dataset {dataset.name!r} has an empty test split")
-    instance_seeds = [derive_seed(seed, k) for k in range(m)]
 
-    def one(args):
-        technique, k = args
+    def one(k: int):
         return evaluate_instance(
             dataset.X_test[k],
             model,
-            technique,
+            techniques,
             target_space,
             dataset,
             config,
-            seed=instance_seeds[k],
+            seed=derive_seed(seed, k),
             instance_index=k,
         )
 
-    out = []
-    for technique in techniques:
-        jobs = [(technique, k) for k in range(m)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scores = list(pool.map(one, jobs))
-        else:
-            scores = [one(j) for j in jobs]
-        out.append(summarize_scores(dataset.name, model.kind, technique, scores))
-    return out
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(m)))
+    else:
+        results = [one(k) for k in range(m)]
+    ground_truths = tuple(gt for gt, _ in results)
+    return [
+        summarize_scores(dataset.name, model.kind, t, [s[i] for _, s in results], ground_truths)
+        for i, t in enumerate(techniques)
+    ]
 
 
 def rank_techniques(score_sets: list[DatasetScoreSet]) -> RankTable:

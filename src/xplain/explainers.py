@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateWeightsError, UnknownTechniqueError
+from .errors import DegenerateWeightsError, InvalidConfigError, UnknownTechniqueError
 from .models import ModelHandle, predict_logodds, predict_proba
 
 LIME = "lime"
@@ -41,9 +41,9 @@ class LimeConfig:
 
     def __post_init__(self):
         if self.samples < 1:
-            raise ValueError("lime samples must be >= 1")
+            raise InvalidConfigError("lime samples must be >= 1")
         if self.kernel_width is not None and self.kernel_width <= 0:
-            raise ValueError("kernel_width must be positive")
+            raise InvalidConfigError("kernel_width must be positive")
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class ShapConfig:
 
     def __post_init__(self):
         if self.samples < 1 or self.background_size < 1:
-            raise ValueError("shap samples and background_size must be >= 1")
+            raise InvalidConfigError("shap samples and background_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class LpiConfig:
 
     def __post_init__(self):
         if self.samples is not None and self.samples < 1:
-            raise ValueError("lpi samples must be >= 1")
+            raise InvalidConfigError("lpi samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -345,11 +345,11 @@ def explain_lpi(
 ) -> Explanation:
     """Local permutation importance in the chosen target space.
 
-    For each feature, replacement values come from a shuffle of the training
-    column (cycled when samples exceed the row count) and
-    phi_j = mean_s [f(x) - f(x with coordinate j replaced)]. One-hot groups
-    are permuted as whole groups and every column of a group shares the
-    group's score. The absolute flag switches to mean |f(x) - f(...)|.
+    For each slot (a numeric column or a whole one-hot group), replacement
+    values come from the training rows in shuffled order (cycled when samples
+    exceed the row count) and phi_j = mean_s [f(x) - f(x with slot j
+    replaced)]; every column of a group shares the group's score. The
+    absolute flag switches to mean |f(x) - f(...)|.
     """
     cfg = (config or ExplainerConfig()).lpi
     x = np.asarray(x, dtype=float)
@@ -367,19 +367,14 @@ def explain_lpi(
     def score(diffs: np.ndarray) -> float:
         return float(np.mean(np.abs(diffs) if cfg.absolute else diffs))
 
+    X_rep = np.tile(x, (S, 1))
     for kind, slot in _slots(dataset):
-        X_rep = np.tile(x, (S, 1))
-        if kind == "num":
-            j = slot
-            shuffled = rng.permutation(dataset.X_train[:, j])
-            X_rep[:, j] = shuffled[:S] if S <= m else np.resize(shuffled, S)
-            phi[j] = score(fx - f(X_rep))
-        else:
-            idx = list(slot.indices)
-            row_order = rng.permutation(m)
-            rows = row_order[:S] if S <= m else np.resize(row_order, S)
-            X_rep[:, idx] = dataset.X_train[np.asarray(rows)][:, idx]
-            phi[idx] = score(fx - f(X_rep))
+        cols = np.asarray([slot] if kind == "num" else slot.indices)
+        order = rng.permutation(m)
+        rows = order[:S] if S <= m else np.resize(order, S)
+        X_rep[:, cols] = dataset.X_train.take(cols, axis=1).take(rows, axis=0)
+        phi[cols] = score(fx - f(X_rep))
+        X_rep[:, cols] = x[cols]  # back to x for the next slot
 
     return Explanation(
         phi=phi,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PreprocessSpec, stratified_indices
-from .errors import ConvergenceError, DimensionMismatchError
+from .errors import ConvergenceError, DimensionMismatchError, InvalidConfigError
 
 LOGISTIC = "lr"
 GAUSSIAN_NB = "gnb"
@@ -119,18 +119,13 @@ def fit_logistic(
     b = 0.0
     l1 = strength if penalty == "l1" else 0.0
 
-    def objective(wv, bv):
-        return _smooth_value(wv, bv, X, y, penalty, strength) + l1 * float(
-            np.sum(np.abs(wv))
-        )
-
-    obj = objective(w, b)
+    g_val = _smooth_value(w, b, X, y, penalty, strength)
+    obj = g_val + l1 * float(np.sum(np.abs(w)))
     checkpoints = [obj]
     step = 1.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g_val = _smooth_value(w, b, X, y, penalty, strength)
         gw, gb = _smooth_grad(w, b, X, y, penalty, strength)
         step = min(step * 2.0, 1e6)
         while True:
@@ -146,13 +141,15 @@ def fit_logistic(
                 + gb * db
                 + (float(dw @ dw) + db * db) / (2.0 * step)
             )
-            if _smooth_value(w_new, b_new, X, y, penalty, strength) <= bound + 1e-15:
+            new_val = _smooth_value(w_new, b_new, X, y, penalty, strength)
+            if new_val <= bound + 1e-15:
                 break
             step *= 0.5
             if step < 1e-12:
                 break
-        w, b = w_new, b_new
-        new_obj = objective(w, b)
+        # the accepted trial's smooth value is the next iteration's g_val
+        w, b, g_val = w_new, b_new, new_val
+        new_obj = g_val + l1 * float(np.sum(np.abs(w)))
         if it % 100 == 0:
             checkpoints.append(new_obj)
         if abs(obj - new_obj) < tol:
@@ -188,6 +185,8 @@ def train_logistic(
     accuracy on the held-out 20%. The best converged trial (first wins ties)
     is refit on the full training split.
     """
+    if search_trials < 1:
+        raise InvalidConfigError(f"search trials must be >= 1, got {search_trials}")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     inner_rng = np.random.default_rng([seed, 0])

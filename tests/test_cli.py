@@ -1,12 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from xplain import cli
 
-from conftest import DATASETS_DIR, write_csv
+from conftest import DATASETS_DIR, SRC_DIR, write_csv
 
 FAST_FLAGS = [
     "--trials", "4",
@@ -141,6 +144,68 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             f"error: XPLAIN_THREADS must be a positive integer, got '{value}'\n"
         )
+
+
+@pytest.fixture
+def bad_configs(tmp_path):
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "notjson.json").write_text("csv_path = iris.csv\n")
+    (tmp_path / "list.json").write_text("[]")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--dataset", "IRIS", "--lime-samples", "0"],
+    ["evaluate", "--dataset", "IRIS", "--shap-samples", "0"],
+    ["evaluate", "--dataset", "IRIS", "--shap-background", "0"],
+    ["evaluate", "--dataset", "IRIS", "--lpi-samples", "0"],
+    ["evaluate", "--dataset", "IRIS", "--model", "lr", "--trials", "0"],
+    ["evaluate", "--dataset", "BAD/empty.json"],
+    ["evaluate", "--dataset", "BAD/notjson.json"],
+    ["train", "--dataset", "BAD/empty.json", "--model", "lr"],
+    ["train", "--dataset", "BAD/list.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/notjson.json", "--model", "gnb",
+     "--technique", "lime", "--index", "0"],
+    ["explain", "--dataset", "IRIS", "--model", "lr", "--technique", "shap",
+     "--index", "0", "--trials", "2", "--shap-background", "0"],
+    ["evaluate", "--dataset", "IRIS", "--technique", ","],
+], ids=[
+    "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
+    "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
+    "train-empty-config", "train-list-config", "explain-non-json-config",
+    "explain-shap-background-0", "empty-technique-list",
+])
+def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
+    argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
+            for a in argv]
+    if argv[0] == "evaluate":
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_missing_config_key_named(bad_configs, tmp_path, capsys):
+    cli.main(["evaluate", "--dataset", str(bad_configs / "empty.json"),
+              "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == (
+        f"error: dataset 'empty' failed at stage data: {bad_configs / 'empty.json'}: "
+        "missing required key 'csv_path'\n"
+    )
+
+
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer patches xplain names by module attribute; a
+    renamed or removed name must fail here, not only in a traced bench run."""
+    root = SRC_DIR.parent
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); "
+        "from spans import Tracer; Tracer().install()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def run_explain(extra):

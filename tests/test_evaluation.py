@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xplain import evaluation
 from xplain.errors import DimensionMismatchError, VectorTooShortError
 from xplain.evaluation import (
     CorrelationScore,
@@ -15,6 +16,7 @@ from xplain.evaluation import (
     summarize_scores,
 )
 from xplain.explainers import ExplainerConfig, LimeConfig, LpiConfig, ShapConfig
+from xplain.groundtruth import ground_truth
 from xplain.models import ModelHandle, train_gnb
 
 from conftest import linear_handle, numeric_dataset
@@ -105,7 +107,7 @@ class TestEvaluateInstance:
         rng = np.random.default_rng(4)
         ds = numeric_dataset(rng.normal(0, 1, (40, 5)))
         handle = linear_handle(rng.normal(0, 1, 5))
-        score = evaluate_instance(ds.X_test[0], handle, "groundtruth", "logodds", ds)
+        _, (score,) = evaluate_instance(ds.X_test[0], handle, ["groundtruth"], "logodds", ds)
         assert score.r == 1.0
 
     def test_lpi_lr_standardized_perfect(self):
@@ -114,14 +116,14 @@ class TestEvaluateInstance:
         X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
         ds = numeric_dataset(X)
         handle = linear_handle([1.4, -0.6, 2.2, 0.9, -1.8, 0.3])
-        score = evaluate_instance(ds.X_test[1], handle, "lpi", "logodds", ds, seed=7)
+        _, (score,) = evaluate_instance(ds.X_test[1], handle, ["lpi"], "logodds", ds, seed=7)
         assert score.r == 1.0
 
     def test_single_feature_too_short(self):
         ds = numeric_dataset(np.linspace(0, 1, 30).reshape(-1, 1))
         handle = linear_handle([2.0])
         with pytest.raises(VectorTooShortError):
-            evaluate_instance(ds.X_test[0], handle, "lpi", "logodds", ds)
+            evaluate_instance(ds.X_test[0], handle, ["lpi"], "logodds", ds)
 
 
 class TestSummarize:
@@ -185,6 +187,37 @@ class TestEvaluateDataset:
         (s,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=1)
         assert [x.instance_index for x in s.scores] == list(range(12))
         assert s.median == np.median([x.r for x in s.scores])
+
+    def test_ground_truth_once_per_instance(self, monkeypatch):
+        ds, handle, cfg = self.make()
+        calls = []
+
+        def spy(model, x):
+            calls.append(x)
+            return ground_truth(model, x)
+
+        monkeypatch.setattr(evaluation, "ground_truth", spy)
+        sets = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3)
+        assert len(calls) == 12
+        assert [s.technique for s in sets] == ["lime", "lpi"]
+        assert sets[0].ground_truths is sets[1].ground_truths
+
+    def test_ground_truths_match_direct_extraction(self):
+        ds, handle, cfg = self.make()
+        for s in evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3):
+            assert len(s.ground_truths) == 12
+            for k, gt in enumerate(s.ground_truths):
+                expected = ground_truth(handle, ds.X_test[k])
+                assert np.array_equal(gt.lam, expected.lam)
+                assert gt.offset == expected.offset
+
+    def test_ground_truths_worker_independent(self):
+        ds, handle, cfg = self.make()
+        (a,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=3)
+        (c,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=3, workers=3)
+        assert len(a.ground_truths) == len(c.ground_truths) == 12
+        for g1, g3 in zip(a.ground_truths, c.ground_truths):
+            assert np.array_equal(g1.lam, g3.lam) and g1.offset == g3.offset
 
     def test_empty_test_split_rejected(self):
         ds, handle, cfg = self.make()
