@@ -159,8 +159,6 @@ def _print_rank_table(tables: dict[str, object], techniques: list[str]):
 
 
 def cmd_evaluate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     techniques = [t.strip() for t in args.technique.split(",") if t.strip()]
     if not techniques:
         print("error: --technique names no technique", file=sys.stderr)
@@ -172,6 +170,11 @@ def cmd_evaluate(args) -> int:
     model_kinds = ["lr", "gnb"] if args.model == "both" else [args.model]
     config = _explainer_config(args)
     workers = _workers()
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise XplainError(f"cannot create --out directory {out_dir}: {exc.strerror}") from None
 
     # score_sets[model_kind] -> list of DatasetScoreSet across datasets
     score_sets: dict[str, list[DatasetScoreSet]] = {k: [] for k in model_kinds}

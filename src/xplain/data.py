@@ -62,18 +62,32 @@ class DatasetConfig:
         for key in ("csv_path", "target_column", "positive_label"):
             if key not in raw:
                 raise InvalidConfigError(f"{path}: missing required key {key!r}")
-        csv_path = Path(raw["csv_path"])
+
+        def value(key, ok, expected, default=None):
+            v = raw.get(key, default)
+            if isinstance(v, bool) or not ok(v):
+                raise InvalidConfigError(f"{path}: {key!r} must be {expected}, got {v!r}")
+            return v
+
+        def is_str(v):
+            return isinstance(v, str)
+
+        csv_path = Path(value("csv_path", is_str, "a string"))
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
-        cats = raw.get("categorical_columns")
+        cats = value("categorical_columns",
+                     lambda v: v is None or isinstance(v, list) and all(map(is_str, v)),
+                     "a list of column names")
         return DatasetConfig(
             csv_path=csv_path,
-            target_column=raw["target_column"],
+            target_column=value("target_column", is_str, "a string"),
             positive_label=str(raw["positive_label"]),
             categorical_columns=None if cats is None else tuple(cats),
-            test_fraction=float(raw.get("test_fraction", 0.25)),
-            seed=int(raw.get("seed", 0)),
-            name=raw.get("name", path.stem),
+            test_fraction=float(
+                value("test_fraction", lambda v: isinstance(v, (int, float)), "a number", 0.25)
+            ),
+            seed=value("seed", lambda v: isinstance(v, int), "an integer", 0),
+            name=value("name", is_str, "a string", path.stem),
         )
 
 

@@ -184,10 +184,6 @@ def explain_lime(
     )
 
 
-def _shapley_kernel_weight(n: int, s: int) -> float:
-    return (n - 1) / (math.comb(n, s) * s * (n - s))
-
-
 def _coalition_values(f, masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.ndarray:
     """v(S) = mean over background rows of f(x on S, background off S)."""
     B = background.shape[0]
@@ -207,19 +203,16 @@ def _solve_constrained_wls(
     weights: np.ndarray,
     base: float,
     fx: float,
-    n: int,
 ) -> np.ndarray:
-    """Weighted least squares with phi_0 + sum(phi) = f(x) enforced by
-    eliminating the last coefficient. Empty/full coalitions reduce to 0 = 0
-    rows after the elimination, so only proper coalitions enter.
+    """Weighted least squares over proper coalitions with phi_0 + sum(phi) =
+    f(x) enforced by eliminating the last coefficient. The empty and full
+    coalitions would only add 0 = 0 rows after the elimination, so callers
+    pass neither; with no rows at all the last coefficient takes f(x) - base.
     """
-    sizes = masks.sum(axis=1)
-    keep = (sizes > 0) & (sizes < n)
-    M = masks[keep].astype(float)
-    wk = weights[keep]
-    y = values[keep] - base - M[:, -1] * (fx - base)
+    M = masks.astype(float)
+    y = values - base - M[:, -1] * (fx - base)
     A = M[:, :-1] - M[:, -1:]
-    Aw = A * wk[:, None]
+    Aw = A * weights[:, None]
     gram = Aw.T @ A
     rhs = Aw.T @ y
     try:
@@ -230,49 +223,34 @@ def _solve_constrained_wls(
 
 
 def _exact_coalitions(n: int):
-    """All 2^n coalitions with their Shapley kernel weights (0 for empty and full)."""
-    codes = np.arange(2**n, dtype=np.int64)
+    """The 2^n - 2 proper coalitions (codes 1 .. 2^n - 2, bit j = feature j)
+    with their Shapley kernel weights (n - 1) / (C(n, s) s (n - s)) for size s.
+    No rows for n = 1."""
+    codes = np.arange(1, 2**n - 1, dtype=np.int64)
     masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
-    by_size = np.zeros(n + 1)
-    for s in range(1, n):
-        by_size[s] = _shapley_kernel_weight(n, s)
-    return masks, by_size[masks.sum(axis=1)]
+    sizes = masks.sum(axis=1)
+    comb = np.array([math.comb(n, s) for s in range(n + 1)])
+    return masks, (n - 1) / (comb[sizes] * sizes * (n - sizes))
 
 
 def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
-    """Coalitions drawn from the Shapley kernel size distribution, each paired
-    with its complement; empty and full are always present. Duplicate draws
-    accumulate as frequency weights."""
+    """Proper coalitions drawn from the Shapley kernel size distribution, each
+    paired with its complement. The empty and full coalitions count as the
+    first two of the `samples` draws but are not returned. Distinct masks
+    come back in first-draw order, with their draw counts as weights."""
     sizes = np.arange(1, n)
     p = (n - 1) / (sizes * (n - sizes))
     p = p / p.sum()
-    counts: dict[bytes, int] = {}
-    order: list[bytes] = []
-
-    def add(mask: np.ndarray):
-        key = np.packbits(mask).tobytes()
-        if key not in counts:
-            counts[key] = 0
-            order.append(key)
-        counts[key] += 1
-
-    empty = np.zeros(n, dtype=bool)
-    add(empty)
-    add(~empty)
-    drawn = 2
-    while drawn < samples:
+    pairs = max(0, (samples - 1) // 2)
+    draws = np.zeros((2 * pairs, n), dtype=bool)
+    for i in range(pairs):
         s = int(rng.choice(sizes, p=p))
         members = rng.choice(n, size=s, replace=False)
-        mask = np.zeros(n, dtype=bool)
-        mask[members] = True
-        add(mask)
-        add(~mask)
-        drawn += 2
-    masks = np.array(
-        [np.unpackbits(np.frombuffer(k, dtype=np.uint8), count=n).astype(bool) for k in order]
-    )
-    weights = np.array([float(counts[k]) for k in order])
-    return masks, weights
+        draws[2 * i, members] = True
+    draws[1::2] = ~draws[0::2]
+    masks, first, counts = np.unique(draws, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return masks[order], counts[order].astype(float)
 
 
 def explain_shap(
@@ -286,12 +264,14 @@ def explain_shap(
     """KernelSHAP against a seeded background sample of training rows.
 
     Coalition values marginalize off-coalition features with background rows.
-    All 2^n coalitions are enumerated when n <= 13 (sample_count = 2^n);
-    above that, coalitions are sampled from the Shapley kernel (sample_count =
-    number of draws). Either way, attributions solve the kernel-weighted least
-    squares with the local-accuracy constraint, and base_value is the
-    background mean prediction. With n = 1 that solve is empty and
-    phi = f(x) - base_value.
+    The empty and full coalitions are known without scoring (base_value, the
+    background mean prediction, and f(x)) and enter only through the
+    local-accuracy constraint, so only proper coalitions are valued: all
+    2^n - 2 of them when n <= 13 (sample_count = 2^n), otherwise the distinct
+    masks among the Shapley-kernel draws (sample_count = number of draws,
+    empty and full counted as the first two). Attributions solve the
+    kernel-weighted least squares under that constraint. With n = 1 there is
+    no proper coalition and phi = f(x) - base_value.
     """
     cfg = (config or ExplainerConfig()).shap
     x = np.asarray(x, dtype=float)
@@ -313,17 +293,12 @@ def explain_shap(
 
     if n <= EXACT_SHAP_LIMIT:
         masks, weights = _exact_coalitions(n)
-        sample_count = len(masks)
+        sample_count = 2**n
     else:
         masks, weights = _sample_coalitions(n, cfg.samples, rng)
-        sample_count = int(weights.sum())
-    sizes = masks.sum(axis=1)
-    proper = (sizes > 0) & (sizes < n)
-    values = np.empty(len(masks))
-    values[proper] = _coalition_values(f, masks[proper], x, background)
-    values[sizes == 0] = base
-    values[sizes == n] = fx
-    phi = _solve_constrained_wls(masks, values, weights, base, fx, n)
+        sample_count = 2 + int(weights.sum())
+    values = _coalition_values(f, masks, x, background)
+    phi = _solve_constrained_wls(masks, values, weights, base, fx)
 
     return Explanation(
         phi=phi,

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -151,6 +152,16 @@ def bad_configs(tmp_path):
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "notjson.json").write_text("csv_path = iris.csv\n")
     (tmp_path / "list.json").write_text("[]")
+    iris = json.loads((DATASETS_DIR / "iris_binary.json").read_text())
+    iris["csv_path"] = str(DATASETS_DIR / "iris_binary.csv")
+    for name, key, value in [
+        ("fraction_str", "test_fraction", "x"),
+        ("seed_str", "seed", "x"),
+        ("seed_float", "seed", 1.7),
+        ("cats_int", "categorical_columns", 5),
+        ("cats_str", "categorical_columns", "species"),
+    ]:
+        (tmp_path / f"{name}.json").write_text(json.dumps({**iris, key: value}))
     return tmp_path
 
 
@@ -169,20 +180,47 @@ def bad_configs(tmp_path):
     ["explain", "--dataset", "IRIS", "--model", "lr", "--technique", "shap",
      "--index", "0", "--trials", "2", "--shap-background", "0"],
     ["evaluate", "--dataset", "IRIS", "--technique", ","],
+    ["train", "--dataset", "BAD/fraction_str.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/seed_str.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
+    ["evaluate", "--dataset", "BAD/seed_float.json", "--model", "gnb"],
+    ["evaluate", "--dataset", "BAD/cats_int.json", "--model", "gnb"],
+    ["train", "--dataset", "BAD/cats_str.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/cats_str.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
+    ["evaluate", "--dataset", "IRIS", "--model", "gnb", "--out", "BAD/list.json"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
     "train-empty-config", "train-list-config", "explain-non-json-config",
     "explain-shap-background-0", "empty-technique-list",
+    "train-string-test-fraction", "explain-string-seed", "evaluate-float-seed",
+    "evaluate-int-categorical-columns", "train-string-categorical-columns",
+    "explain-string-categorical-columns", "evaluate-out-is-a-file",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
             for a in argv]
-    if argv[0] == "evaluate":
+    if argv[0] == "evaluate" and "--out" not in argv:
         argv += ["--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("argv,threads", [
+    (["--lime-samples", "0"], None),
+    (["--technique", "mystery"], None),
+    (["--technique", ","], None),
+    ([], "abc"),
+], ids=["lime-samples-0", "unknown-technique", "empty-technique-list", "bad-thread-count"])
+def test_rejected_evaluate_creates_no_out_dir(argv, threads, tmp_path, monkeypatch):
+    if threads is not None:
+        monkeypatch.setenv("XPLAIN_THREADS", threads)
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--dataset", ds_config("iris_binary"),
+                     "--out", str(out), *argv]) == 1
+    assert not out.exists()
 
 
 def test_missing_config_key_named(bad_configs, tmp_path, capsys):
@@ -288,6 +326,37 @@ class TestTrain:
             "--model", "lr", *FAST_FLAGS,
         ])
         assert code == 1
+
+
+def test_wide_mixed_sampled_shap_with_groups(tmp_path, monkeypatch):
+    """Sampled KernelSHAP (19 encoded columns > EXACT_SHAP_LIMIT) over one-hot
+    groups, end to end through the CLI on the benchmark's wide-mixed table,
+    with byte-identical reports whatever XPLAIN_THREADS is."""
+    spec = importlib.util.spec_from_file_location(
+        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
+    widemixed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widemixed)
+    config = widemixed.generate(1, tmp_path / "data")
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("XPLAIN_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert cli.main([
+            "evaluate", "--dataset", str(config), "--out", str(out),
+            "--trials", "2", "--lime-samples", "200", "--shap-samples", "200",
+            "--shap-background", "20", "--lpi-samples", "50",
+        ]) == 0
+        outs.append(out)
+    for kind in ("lr", "gnb"):
+        report = json.loads((outs[0] / f"wide_mixed__{kind}.report.json").read_text())
+        assert len(report["feature_names"]) > 13
+        for block in report["per_technique"].values():
+            assert len(block["scores"]) == report["test_instances"]
+            assert all(np.isfinite(block["scores"]))
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestCategoricalEndToEnd:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from xplain import data
+from xplain import data, explainers
 from xplain.errors import DegenerateWeightsError, UnknownTechniqueError
 from xplain.explainers import (
     ExplainerConfig,
@@ -13,7 +15,13 @@ from xplain.explainers import (
     explain_lpi,
     explain_shap,
 )
-from xplain.models import ModelHandle, predict_logodds, predict_proba, train_gnb
+from xplain.models import (
+    ModelHandle,
+    feature_terms,
+    predict_logodds,
+    predict_proba,
+    train_gnb,
+)
 
 from conftest import linear_handle, numeric_dataset
 
@@ -174,6 +182,114 @@ class TestShap:
         a = explain_shap(handle, x, ds, cfg, seed=1)
         b = explain_shap(handle, x, ds, cfg, seed=1)
         assert np.array_equal(a.phi, b.phi)
+
+
+def _reference_exact_coalitions(n):
+    """All 2^n coalitions, empty and full included with weight 0 (the
+    generator KernelSHAP used before it returned proper coalitions only)."""
+    codes = np.arange(2**n, dtype=np.int64)
+    masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
+    by_size = np.zeros(n + 1)
+    for s in range(1, n):
+        by_size[s] = (n - 1) / (math.comb(n, s) * s * (n - s))
+    return masks, by_size[masks.sum(axis=1)]
+
+
+def _reference_sample_coalitions(n, samples, rng):
+    """Earlier sampler: empty and full first, then complement pairs, with
+    duplicates counted in a dict keyed on the packed mask bytes."""
+    sizes = np.arange(1, n)
+    p = (n - 1) / (sizes * (n - sizes))
+    p = p / p.sum()
+    counts = {}
+    order = []
+
+    def add(mask):
+        key = np.packbits(mask).tobytes()
+        if key not in counts:
+            counts[key] = 0
+            order.append(key)
+        counts[key] += 1
+
+    empty = np.zeros(n, dtype=bool)
+    add(empty)
+    add(~empty)
+    drawn = 2
+    while drawn < samples:
+        s = int(rng.choice(sizes, p=p))
+        members = rng.choice(n, size=s, replace=False)
+        mask = np.zeros(n, dtype=bool)
+        mask[members] = True
+        add(mask)
+        add(~mask)
+        drawn += 2
+    masks = np.array(
+        [np.unpackbits(np.frombuffer(k, dtype=np.uint8), count=n).astype(bool) for k in order]
+    )
+    weights = np.array([float(counts[k]) for k in order])
+    return masks, weights
+
+
+def _proper(masks, weights):
+    sizes = masks.sum(axis=1)
+    keep = (sizes > 0) & (sizes < masks.shape[1])
+    return masks[keep], weights[keep]
+
+
+class TestCoalitionGenerators:
+    def test_exact_matches_reference_without_empty_and_full(self):
+        for n in range(1, 14):
+            masks, weights = explainers._exact_coalitions(n)
+            ref_masks, ref_weights = _proper(*_reference_exact_coalitions(n))
+            assert masks.shape == (2**n - 2, n)
+            assert np.array_equal(masks, ref_masks), n
+            assert np.array_equal(weights, ref_weights), n
+
+    def test_sampled_matches_reference_without_empty_and_full(self):
+        for n in (2, 3, 14, 19, 30):
+            for samples in (1, 2, 3, 4, 7, 50, 1300, 3000):
+                for seed in range(3):
+                    masks, weights = explainers._sample_coalitions(
+                        n, samples, np.random.default_rng(seed))
+                    ref_masks, ref_weights = _reference_sample_coalitions(
+                        n, samples, np.random.default_rng(seed))
+                    case = (n, samples, seed)
+                    assert masks.shape[1] == n, case
+                    assert np.array_equal(masks, ref_masks[2:]), case
+                    assert np.array_equal(weights, ref_weights[2:]), case
+                    assert 2 + weights.sum() == ref_weights.sum(), case
+
+
+class TestGnbAdditiveOracle:
+    """In log-odds GNB is additive, so interventional SHAP and full-permutation
+    LPI both equal lam_j(x) - mean_b lam_j(b) over the background rows b."""
+
+    @staticmethod
+    def _setup(n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 1, (90, n)) * rng.uniform(0.5, 2.0, n)
+        y = (rng.random(90) < 0.5).astype(int)
+        y[:2] = [0, 1]
+        X[y == 1] += rng.normal(0, 0.8, n)
+        ds = numeric_dataset(X, y_train=y)  # <= 100 rows: the background is X
+        handle = ModelHandle("gnb", train_gnb(X, y))
+        x = rng.normal(0, 1, n)
+        closed = feature_terms(handle, x)[1] - feature_terms(handle, X)[1].mean(axis=0)
+        return ds, handle, x, closed
+
+    @pytest.mark.parametrize("n,samples", [(5, 5000), (12, 5000), (16, 3000), (18, 1300)])
+    def test_shap(self, n, samples):
+        ds, handle, x, closed = self._setup(n, seed=n)
+        cfg = ExplainerConfig(shap=ShapConfig(samples=samples))
+        e = explain_shap(handle, x, ds, cfg, seed=1)
+        assert e.sample_count == (2**n if n <= explainers.EXACT_SHAP_LIMIT else samples)
+        assert np.max(np.abs(e.phi - closed)) < 1e-9
+
+    def test_full_permutation_lpi(self):
+        ds, handle, x, closed = self._setup(7, seed=23)
+        e = explain_lpi(handle, x, ds, seed=2)
+        assert e.sample_count == ds.X_train.shape[0]
+        assert np.max(np.abs(e.phi - closed)) < 1e-9
 
 
 class TestLpi:
