@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidConfigError,
+    InvalidCsvError,
     InvalidFractionError,
     NonBinaryTargetError,
     StratificationError,
@@ -124,23 +127,66 @@ class EncodedGroup:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Post-encoding dataset: dense matrices plus the metadata explainers need."""
+    """Post-encoding dataset: dense matrices plus the feature layout explainers need.
 
-    columns: tuple[ColumnSpec, ...]
+    `groups` is the only stored layout; `numeric_indices` and `slots` derive
+    from it. A layout the matrices contradict raises DimensionMismatchError.
+    """
+
     feature_names: tuple[str, ...]
     X_train: np.ndarray
     X_test: np.ndarray
     y_train: np.ndarray
     y_test: np.ndarray
     seed: int
-    numeric_indices: tuple[int, ...] = ()
     groups: tuple[EncodedGroup, ...] = ()
     unseen_category_count: int = 0
     name: str = ""
 
+    def __post_init__(self):
+        n = self.n_features
+        if self.X_test.shape[1] != n:
+            raise DimensionMismatchError(
+                f"X_test has {self.X_test.shape[1]} columns, X_train has {n}"
+            )
+        if len(self.feature_names) != n:
+            raise DimensionMismatchError(
+                f"{len(self.feature_names)} feature names for {n} columns"
+            )
+        grouped: set[int] = set()
+        for g in self.groups:
+            if len(g.indices) < 2:
+                raise DimensionMismatchError(
+                    f"group {g.column!r} has {len(g.indices)} column(s), needs at least 2"
+                )
+            for j in g.indices:
+                if not 0 <= j < n:
+                    raise DimensionMismatchError(
+                        f"group {g.column!r}: column {j} outside the {n} columns"
+                    )
+                if j in grouped:
+                    raise DimensionMismatchError(
+                        f"group {g.column!r}: column {j} already belongs to a group"
+                    )
+                grouped.add(j)
+
     @property
     def n_features(self) -> int:
         return self.X_train.shape[1]
+
+    @property
+    def numeric_indices(self) -> tuple[int, ...]:
+        """The columns that belong to no one-hot group."""
+        grouped = {j for g in self.groups for j in g.indices}
+        return tuple(j for j in range(self.n_features) if j not in grouped)
+
+    @cached_property
+    def slots(self) -> tuple[tuple[np.ndarray, EncodedGroup | None], ...]:
+        """One (column indices, group) pair per slot, in column order: a numeric
+        column with group None, or a one-hot group's columns with the group."""
+        slots = [(np.array([j]), None) for j in self.numeric_indices]
+        slots += [(np.array(g.indices), g) for g in self.groups]
+        return tuple(sorted(slots, key=lambda slot: slot[0].min()))
 
     def with_matrices(self, X_train: np.ndarray, X_test: np.ndarray) -> "Dataset":
         return replace(self, X_train=X_train, X_test=X_test)
@@ -157,14 +203,12 @@ class PreprocessSpec:
     kind: str
     center: np.ndarray
     scale: np.ndarray
-    numeric_indices: tuple[int, ...] = ()
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "center": [float(v) for v in self.center],
             "scale": [float(v) for v in self.scale],
-            "numeric_indices": list(self.numeric_indices),
         }
 
     @staticmethod
@@ -173,37 +217,56 @@ class PreprocessSpec:
             kind=raw["kind"],
             center=np.asarray(raw["center"], dtype=float),
             scale=np.asarray(raw["scale"], dtype=float),
-            numeric_indices=tuple(raw["numeric_indices"]),
         )
 
 
 def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
     """Read a CSV file into typed rows and {0,1} labels.
 
-    Column kinds come from config.categorical_columns when given; otherwise a
-    column is categorical iff any of its cells fails to parse as a number.
-    Categorical vocabularies are recorded in first-appearance order over the
-    whole file (they are re-fitted on training rows during encoding).
+    Column kinds come from config.categorical_columns when given (every name
+    must be a header column); otherwise a column is categorical iff any of its
+    cells fails to parse as a number. Categorical vocabularies are recorded in
+    first-appearance order over the whole file (they are re-fitted on training
+    rows during encoding). A duplicate header name, a row whose cell count
+    differs from the header's, or a numeric cell that is not a finite number
+    raises InvalidCsvError naming the file, CSV line and column.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
+    lines: list[int] = []  # the CSV line each record ends on
+    records: list[list[str]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+                    records.append(row)
         except StopIteration:
             raise NonBinaryTargetError(f"{path}: empty file") from None
-        records = [row for row in reader if row]
+        except UnicodeDecodeError as exc:
+            raise InvalidCsvError(f"{path}: not UTF-8 text ({exc})") from None
 
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise InvalidCsvError(
+                f"{path}: line 1: column {j + 1} repeats the header name {name!r}"
+            )
+    for line, row in zip(lines, records):
+        if len(row) != len(header):
+            which = (f"no cell for column {header[len(row)]!r}" if len(row) < len(header)
+                     else f"cell {len(header) + 1} has no column")
+            raise InvalidCsvError(
+                f"{path}: line {line}: {len(row)} cells for {len(header)} columns; {which}"
+            )
     if config.target_column not in header:
         raise NonBinaryTargetError(
             f"{path}: target column {config.target_column!r} not in header"
         )
     target_idx = header.index(config.target_column)
     feature_names = [h for i, h in enumerate(header) if i != target_idx]
-    if len(set(feature_names)) != len(feature_names):
-        raise ValueError(f"{path}: duplicate column names")
 
     raw_labels = [row[target_idx].strip() for row in records]
     distinct = sorted(set(raw_labels))
@@ -219,6 +282,12 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
 
     cells = [[c for i, c in enumerate(row) if i != target_idx] for row in records]
     if config.categorical_columns is not None:
+        unknown = [c for c in config.categorical_columns if c not in header]
+        if unknown:
+            raise InvalidConfigError(
+                f"{path}: categorical_columns names no column of the header: "
+                + ", ".join(map(repr, unknown))
+            )
         categorical = set(config.categorical_columns)
     else:
         categorical = set()
@@ -241,17 +310,20 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
             columns.append(ColumnSpec(name, NUMERIC))
 
     rows = []
-    for r, row in enumerate(cells):
+    for line, row in zip(lines, cells):
         typed = []
         for j, spec in enumerate(columns):
             if spec.kind == NUMERIC:
                 try:
-                    typed.append(float(row[j]))
+                    value = float(row[j])
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: row {r + 2}: cannot parse {row[j]!r} as a number "
-                        f"in column {spec.name!r}"
-                    ) from None
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise InvalidCsvError(
+                        f"{path}: line {line}: cannot parse {row[j]!r} as a finite "
+                        f"number in column {spec.name!r}"
+                    )
+                typed.append(value)
             else:
                 typed.append(row[j].strip())
         rows.append(tuple(typed))
@@ -330,7 +402,7 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
             for row in split_table.train_rows:
                 seen.setdefault(row[j], None)
             if len(seen) < 2:
-                raise ValueError(
+                raise InvalidCsvError(
                     f"categorical column {spec.name!r} has fewer than 2 categories "
                     "in the training split"
                 )
@@ -339,11 +411,9 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
             fitted.append(spec)
 
     feature_names: list[str] = []
-    numeric_indices: list[int] = []
     groups: list[EncodedGroup] = []
     for spec in fitted:
         if spec.kind == NUMERIC:
-            numeric_indices.append(len(feature_names))
             feature_names.append(spec.name)
         else:
             start = len(feature_names)
@@ -379,14 +449,12 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
     X_train = encode_rows(split_table.train_rows)
     X_test = encode_rows(split_table.test_rows)
     return Dataset(
-        columns=tuple(fitted),
         feature_names=tuple(feature_names),
         X_train=X_train,
         X_test=X_test,
         y_train=split_table.y_train,
         y_test=split_table.y_test,
         seed=split_table.seed,
-        numeric_indices=tuple(numeric_indices),
         groups=tuple(groups),
         unseen_category_count=unseen,
         name=name,
@@ -421,9 +489,7 @@ def fit_preprocess(dataset: Dataset, kind: str) -> PreprocessSpec:
             scale[idx] = np.percentile(cols, 75, axis=0) - np.percentile(cols, 25, axis=0)
         degenerate = scale == 0.0
         scale[degenerate] = 1.0
-    return PreprocessSpec(
-        kind=kind, center=center, scale=scale, numeric_indices=tuple(idx)
-    )
+    return PreprocessSpec(kind=kind, center=center, scale=scale)
 
 
 def apply_preprocess(spec: PreprocessSpec, matrix: np.ndarray) -> np.ndarray:
@@ -464,4 +530,7 @@ def load_dataset(config: DatasetConfig) -> Dataset:
     """Full ingestion pipeline: load, split, one-hot encode."""
     table = load_csv(config.csv_path, config)
     parts = split(table, config.test_fraction, config.seed)
-    return encode_onehot(parts, name=config.name)
+    try:
+        return encode_onehot(parts, name=config.name)
+    except InvalidCsvError as exc:
+        raise InvalidCsvError(f"{config.csv_path}: {exc}") from None

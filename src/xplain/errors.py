@@ -9,6 +9,12 @@ class InvalidConfigError(XplainError, ValueError):
     """A configuration value is missing, malformed or out of range."""
 
 
+class InvalidCsvError(XplainError, ValueError):
+    """A dataset CSV cannot be read into a table: a duplicate header name, a row
+    whose cell count differs from the header's, an unparseable numeric cell, or
+    a categorical column with fewer than two training categories."""
+
+
 class NonBinaryTargetError(XplainError):
     """The target column does not carry exactly two label values."""
 

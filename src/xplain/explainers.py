@@ -37,7 +37,6 @@ _RNG_TAG = {LIME: 1, SHAP: 2, LPI: 3}
 class LimeConfig:
     samples: int = 5000
     kernel_width: float | None = None  # None -> 0.75 * sqrt(n)
-    ridge_strength: float = 1.0
 
     def __post_init__(self):
         if self.samples < 1:
@@ -110,14 +109,6 @@ def _target_fn(model: ModelHandle, target_space: str):
     raise ValueError(f"unknown target space {target_space!r}")
 
 
-def _slots(dataset: Dataset):
-    """Feature positions in column order: numeric indices and whole groups."""
-    slots: list[tuple[str, object]] = [("num", j) for j in dataset.numeric_indices]
-    slots += [("group", g) for g in dataset.groups]
-    slots.sort(key=lambda s: s[1] if s[0] == "num" else s[1].indices[0])
-    return slots
-
-
 def explain_lime(
     model: ModelHandle,
     x: np.ndarray,
@@ -144,21 +135,20 @@ def explain_lime(
 
     Z = np.tile(x, (S, 1))
     d2 = np.zeros(S)
-    for kind, slot in _slots(dataset):
-        if kind == "num":
-            j = slot
+    for cols, group in dataset.slots:
+        if group is None:
+            j = cols[0]
             col = dataset.X_train[:, j]
             std = float(col.std(ddof=1)) if len(col) > 1 else 0.0
             Z[:, j] = rng.normal(x[j], std, S) if std > 0 else x[j]
             d2 += ((Z[:, j] - x[j]) / (std if std > 0 else 1.0)) ** 2
         else:
-            idx = list(slot.indices)
-            freqs = dataset.X_train[:, idx].mean(axis=0)
+            freqs = dataset.X_train[:, cols].mean(axis=0)
             freqs = freqs / freqs.sum()
-            cats = rng.choice(len(idx), size=S, p=freqs)
-            Z[:, idx] = 0.0
-            Z[np.arange(S), np.asarray(idx)[cats]] = 1.0
-            d2 += np.any(Z[:, idx] != x[idx], axis=1).astype(float)
+            cats = rng.choice(len(cols), size=S, p=freqs)
+            Z[:, cols] = 0.0
+            Z[np.arange(S), cols[cats]] = 1.0
+            d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
 
     with np.errstate(divide="ignore"):
         weights = np.exp(-d2 / kernel_width**2)
@@ -168,11 +158,11 @@ def explain_lime(
     f = _target_fn(model, target_space)
     y = f(Z)
 
-    # weighted ridge with unpenalized intercept
+    # weighted ridge, strength 1, with unpenalized intercept
     A = np.column_stack([np.ones(S), Z])
     Aw = A * weights[:, None]
     gram = Aw.T @ A
-    penal = np.eye(n + 1) * cfg.ridge_strength
+    penal = np.eye(n + 1)
     penal[0, 0] = 0.0
     beta = np.linalg.solve(gram + penal, Aw.T @ y)
     return Explanation(
@@ -343,8 +333,7 @@ def explain_lpi(
         return float(np.mean(np.abs(diffs) if cfg.absolute else diffs))
 
     X_rep = np.tile(x, (S, 1))
-    for kind, slot in _slots(dataset):
-        cols = np.asarray([slot] if kind == "num" else slot.indices)
+    for cols, _ in dataset.slots:
         order = rng.permutation(m)
         rows = order[:S] if S <= m else np.resize(order, S)
         X_rep[:, cols] = dataset.X_train.take(cols, axis=1).take(rows, axis=0)

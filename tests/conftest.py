@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xplain.data import ColumnSpec, Dataset
+from xplain.data import Dataset
 from xplain.models import LogisticModel, ModelHandle
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -35,14 +35,12 @@ def numeric_dataset(X_train, X_test=None, y_train=None, y_test=None, name="test"
         y_test = np.zeros(len(X_test), dtype=int)
         y_test[: len(y_test) // 2] = 1
     return Dataset(
-        columns=tuple(ColumnSpec(f"f{i}", "numeric") for i in range(n)),
         feature_names=tuple(f"f{i}" for i in range(n)),
         X_train=X_train,
         X_test=X_test,
         y_train=np.asarray(y_train),
         y_test=np.asarray(y_test),
         seed=0,
-        numeric_indices=tuple(range(n)),
         name=name,
     )
 

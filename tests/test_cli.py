@@ -162,6 +162,24 @@ def bad_configs(tmp_path):
         ("cats_str", "categorical_columns", "species"),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**iris, key: value}))
+    header, first, *rest = (DATASETS_DIR / "iris_binary.csv").read_text().splitlines()
+    values = first.split(",", 1)[1]
+    for name, lines, categorical in [
+        ("dup_header", [header.replace("sepal_width", "sepal_length"), first, *rest], []),
+        ("short_row", [header, values, *rest], []),
+        ("long_row", [header, first + ",9.9", *rest], []),
+        ("bad_number", [header, "oops," + values, *rest], []),
+        ("nan_cell", [header, "nan," + values, *rest], []),
+        ("one_category", [header + ",const"] + [line + ",x" for line in [first, *rest]],
+         ["const"]),
+        ("unknown_category", [header, first, *rest], ["nope"]),
+    ]:
+        (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {**iris, "csv_path": f"{name}.csv", "categorical_columns": categorical}))
+    (tmp_path / "not_utf8.csv").write_bytes(
+        "\n".join([header, first, *rest]).encode().replace(b"5.8", b"5\xff8", 1))
+    (tmp_path / "not_utf8.json").write_text(json.dumps({**iris, "csv_path": "not_utf8.csv"}))
     return tmp_path
 
 
@@ -189,6 +207,18 @@ def bad_configs(tmp_path):
     ["explain", "--dataset", "BAD/cats_str.json", "--model", "gnb",
      "--technique", "lpi", "--index", "0"],
     ["evaluate", "--dataset", "IRIS", "--model", "gnb", "--out", "BAD/list.json"],
+    ["train", "--dataset", "BAD/dup_header.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/short_row.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
+    ["evaluate", "--dataset", "BAD/long_row.json", "--model", "gnb"],
+    ["train", "--dataset", "BAD/bad_number.json", "--model", "gnb"],
+    ["train", "--dataset", "BAD/nan_cell.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/one_category.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
+    ["train", "--dataset", "BAD/unknown_category.json", "--model", "gnb"],
+    ["evaluate", "--dataset", "BAD/unknown_category.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/not_utf8.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -197,6 +227,10 @@ def bad_configs(tmp_path):
     "train-string-test-fraction", "explain-string-seed", "evaluate-float-seed",
     "evaluate-int-categorical-columns", "train-string-categorical-columns",
     "explain-string-categorical-columns", "evaluate-out-is-a-file",
+    "train-csv-duplicate-header", "explain-csv-short-row", "evaluate-csv-long-row",
+    "train-csv-bad-number", "train-csv-nan-cell", "explain-csv-one-category",
+    "train-unknown-categorical-column", "evaluate-unknown-categorical-column",
+    "explain-csv-not-utf8",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))

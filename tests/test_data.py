@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,12 +8,15 @@ import pytest
 from xplain import data
 from xplain.errors import (
     DimensionMismatchError,
+    InvalidConfigError,
+    InvalidCsvError,
     InvalidFractionError,
     NonBinaryTargetError,
     StratificationError,
 )
+from xplain.explainers import explain_lpi
 
-from conftest import write_csv
+from conftest import BUNDLED, DATASETS_DIR, SRC_DIR, linear_handle, write_csv
 
 
 def cfg_for(path, target="label", positive="yes", categorical=None, fraction=0.25, seed=0):
@@ -65,6 +70,25 @@ class TestLoadCsv:
         path = write_csv(csv_dir / "t.csv", "a,label", ["1,yes", "2,no"])
         with pytest.raises(NonBinaryTargetError):
             data.load_csv(path, cfg_for(path, positive="YES"))
+
+    @pytest.mark.parametrize("lines,categorical,message", [
+        (["1,2,yes", "3,4,no"], None, r"line 1: column 2 repeats the header name 'a'"),
+        (["1,2,yes", "", "3,no"], None, r"line 4: 2 cells for 3 columns; no cell for column 'label'"),
+        (["1,2,yes", "3,4,no,5"], None, r"line 3: 4 cells for 3 columns; cell 4 has no column"),
+        (["1,2,yes", "", "3,oops,no"], (), r"line 4: cannot parse 'oops' .* column 'b'"),
+        (["1,2,yes", "nan,4,no"], None, r"line 3: cannot parse 'nan' .* column 'a'"),
+    ], ids=["duplicate-header", "short-row", "long-row", "bad-number", "nan-cell"])
+    def test_csv_defect_names_file_line_and_column(self, csv_dir, lines, categorical, message):
+        header = "a,a,label" if "repeats" in message else "a,b,label"
+        path = write_csv(csv_dir / "t.csv", header, lines)
+        with pytest.raises(InvalidCsvError, match=message) as info:
+            data.load_csv(path, cfg_for(path, categorical=categorical))
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_unknown_categorical_column_named(self, csv_dir):
+        path = write_csv(csv_dir / "t.csv", "a,b,label", ["1,x,yes", "2,y,no"])
+        with pytest.raises(InvalidConfigError, match="'nope', 'B'$"):
+            data.load_csv(path, cfg_for(path, categorical=("b", "nope", "B")))
 
     def test_quoted_fields(self, csv_dir):
         path = write_csv(csv_dir / "t.csv", "desc,label",
@@ -174,15 +198,61 @@ class TestEncode:
 def dataset_from_matrix(X, n_test=2):
     X = np.asarray(X, dtype=float)
     return data.Dataset(
-        columns=tuple(data.ColumnSpec(f"f{i}", "numeric") for i in range(X.shape[1])),
         feature_names=tuple(f"f{i}" for i in range(X.shape[1])),
         X_train=X[:-n_test],
         X_test=X[-n_test:],
         y_train=np.array([i % 2 for i in range(len(X) - n_test)]),
         y_test=np.array([i % 2 for i in range(n_test)]),
         seed=0,
-        numeric_indices=tuple(range(X.shape[1])),
     )
+
+
+def layout_kwargs(**overrides):
+    X = np.arange(30, dtype=float).reshape(6, 5)
+    kwargs = dict(feature_names=tuple("abcde"), X_train=X[:4], X_test=X[4:],
+                  y_train=np.array([0, 1, 0, 1]), y_test=np.array([0, 1]), seed=0)
+    return {**kwargs, **overrides}
+
+
+def group(*indices):
+    return data.EncodedGroup("g", indices, tuple(str(j) for j in indices))
+
+
+class TestLayout:
+    def test_matrices_alone_are_all_numeric(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(1.0, 2.0, (40, 4))
+        ds = data.Dataset(feature_names=tuple("abcd"), X_train=X[:30], X_test=X[30:],
+                          y_train=np.arange(30) % 2, y_test=np.arange(10) % 2, seed=0)
+        assert ds.numeric_indices == (0, 1, 2, 3)
+        w = np.array([1.0, 2.0, 3.0, 4.0])
+        x = ds.X_test[0]
+        phi = explain_lpi(linear_handle(w), x, ds, seed=1).phi  # one full permutation
+        assert np.max(np.abs(phi - w * (x - ds.X_train.mean(axis=0)))) < 1e-12
+        std = data.apply_preprocess(data.fit_preprocess(ds, "standardize"), ds.X_train)
+        assert np.all(np.abs(std.mean(axis=0)) < 1e-12)
+
+    def test_slots_in_column_order(self):
+        g = group(1, 2, 3)
+        ds = data.Dataset(**layout_kwargs(groups=(g,)))
+        assert ds.numeric_indices == (0, 4)
+        assert [(cols.tolist(), grp) for cols, grp in ds.slots] == [
+            ([0], None), ([1, 2, 3], g), ([4], None)
+        ]
+
+    @pytest.mark.parametrize("overrides", [
+        {"groups": (group(3, 5),)},
+        {"groups": (group(-1, 0),)},
+        {"groups": (group(0, 1), group(1, 2))},
+        {"groups": (group(2, 2),)},
+        {"groups": (group(2),)},
+        {"feature_names": tuple("abcd")},
+        {"X_test": np.zeros((2, 4))},
+    ], ids=["index-past-end", "negative-index", "overlapping-groups", "repeated-index",
+            "one-column-group", "short-feature-names", "test-column-count"])
+    def test_inconsistent_layout_rejected(self, overrides):
+        with pytest.raises(DimensionMismatchError):
+            data.Dataset(**layout_kwargs(**overrides))
 
 
 class TestPreprocess:
@@ -292,3 +362,20 @@ class TestConfig:
         assert cfg.csv_path == csv_path
         assert cfg.test_fraction == 0.25
         assert cfg.name == "d"
+
+
+def test_make_datasets_reproduces_bundled_files(tmp_path, monkeypatch):
+    """tools/make_datasets.py, which runs the data layer to calibrate banknote,
+    regenerates every committed CSV and config byte for byte."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/
+    spec = importlib.util.spec_from_file_location(
+        "make_datasets", SRC_DIR.parent / "tools" / "make_datasets.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "OUT_DIR", tmp_path)
+    tool.main()
+    expected = sorted(f"{name}.{ext}" for name in BUNDLED for ext in ("csv", "json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (DATASETS_DIR / name).read_bytes(), name

@@ -246,7 +246,6 @@ class TestSerialization:
             kind="standardize",
             center=np.array([0.1, 0.2, 0.3]),
             scale=np.array([1.0, 2.0, 3.0]),
-            numeric_indices=(0, 1, 2),
         )
         for handle in (
             ModelHandle("lr", fit_logistic(X, y, "l1", 0.5), preprocess=spec),
@@ -266,3 +265,14 @@ class TestSerialization:
             )
             assert back.preprocess.kind == "standardize"
             assert np.array_equal(back.preprocess.scale, spec.scale)
+
+    def test_reads_older_preprocess_key(self):
+        """Model JSON written before the layout lived only on Dataset carries
+        preprocess.numeric_indices; it still loads, and no file writes it now."""
+        spec = data.PreprocessSpec("minmax", np.array([0.5, 1.0]), np.array([2.0, 4.0]))
+        blob = handle_to_dict(ModelHandle("gnb", train_gnb(np.eye(4)[:, :2], [0, 1, 0, 1]), spec))
+        assert set(blob["preprocess"]) == {"kind", "center", "scale"}
+        blob["preprocess"]["numeric_indices"] = [0, 1]
+        back = handle_from_dict(blob)
+        assert np.array_equal(back.preprocess.center, spec.center)
+        assert np.array_equal(back.preprocess.scale, spec.scale)
