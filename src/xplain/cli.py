@@ -176,7 +176,7 @@ def cmd_evaluate(args) -> int:
     except OSError as exc:
         raise XplainError(f"cannot create --out directory {out_dir}: {exc.strerror}") from None
 
-    # score_sets[model_kind] -> list of DatasetScoreSet across datasets
+    # score_sets[kind] -> list of DatasetScoreSet across datasets
     score_sets: dict[str, list[DatasetScoreSet]] = {k: [] for k in model_kinds}
     reports: list[tuple[Path, dict]] = []
     failed = False
@@ -337,7 +337,10 @@ def cmd_train(args) -> int:
     train_acc = models_mod.accuracy(handle, dataset.X_train, dataset.y_train)
     test_acc = models_mod.accuracy(handle, dataset.X_test, dataset.y_test)
     out = Path(args.out) if args.out else Path(f"{dataset.name}_{args.model}.model.json")
-    _json_dump(models_mod.handle_to_dict(handle), out)
+    try:
+        _json_dump(models_mod.handle_to_dict(handle), out)
+    except OSError as exc:
+        raise XplainError(f"cannot write --out {out}: {exc.strerror}") from None
     print(f"dataset={dataset.name} model={args.model} "
           f"train_accuracy={train_acc:.4f} test_accuracy={test_acc:.4f}")
     print(f"model written to {out}", file=sys.stderr)
@@ -347,6 +350,9 @@ def cmd_train(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # checked before any command runs, so a rejected evaluate creates no --out
+        if args.seed < 0:
+            raise XplainError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.command == "evaluate":
             return cmd_evaluate(args)
         if args.command == "explain":

@@ -89,7 +89,8 @@ class DatasetConfig:
             test_fraction=float(
                 value("test_fraction", lambda v: isinstance(v, (int, float)), "a number", 0.25)
             ),
-            seed=value("seed", lambda v: isinstance(v, int), "an integer", 0),
+            seed=value("seed", lambda v: isinstance(v, int) and v >= 0,
+                       "a non-negative integer", 0),
             name=value("name", is_str, "a string", path.stem),
         )
 
@@ -112,8 +113,6 @@ class SplitTable:
     test_rows: list[tuple]
     y_train: np.ndarray
     y_test: np.ndarray
-    seed: int
-    test_fraction: float
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,6 @@ class Dataset:
     X_test: np.ndarray
     y_train: np.ndarray
     y_test: np.ndarray
-    seed: int
     groups: tuple[EncodedGroup, ...] = ()
     unseen_category_count: int = 0
     name: str = ""
@@ -188,9 +186,6 @@ class Dataset:
         slots += [(np.array(g.indices), g) for g in self.groups]
         return tuple(sorted(slots, key=lambda slot: slot[0].min()))
 
-    def with_matrices(self, X_train: np.ndarray, X_test: np.ndarray) -> "Dataset":
-        return replace(self, X_train=X_train, X_test=X_test)
-
 
 @dataclass(frozen=True)
 class PreprocessSpec:
@@ -211,25 +206,28 @@ class PreprocessSpec:
             "scale": [float(v) for v in self.scale],
         }
 
-    @staticmethod
-    def from_dict(raw: dict) -> "PreprocessSpec":
-        return PreprocessSpec(
-            kind=raw["kind"],
-            center=np.asarray(raw["center"], dtype=float),
-            scale=np.asarray(raw["scale"], dtype=float),
-        )
+
+def _finite_number(cell: str) -> float | None:
+    """The cell as a float, or None when it is not a finite number."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
     """Read a CSV file into typed rows and {0,1} labels.
 
     Column kinds come from config.categorical_columns when given (every name
-    must be a header column); otherwise a column is categorical iff any of its
-    cells fails to parse as a number. Categorical vocabularies are recorded in
-    first-appearance order over the whole file (they are re-fitted on training
-    rows during encoding). A duplicate header name, a row whose cell count
-    differs from the header's, or a numeric cell that is not a finite number
-    raises InvalidCsvError naming the file, CSV line and column.
+    must be a header column); otherwise a column is numeric iff at least one of
+    its cells is a finite number, so a column with no such cell is categorical
+    and a stray text cell in a numeric column is an error, not a new category.
+    Categorical vocabularies are recorded in first-appearance order over the
+    whole file (they are re-fitted on training rows during encoding). A
+    duplicate header name, a row whose cell count differs from the header's, or
+    a numeric cell that is not a finite number raises InvalidCsvError naming
+    the file, CSV line, column and cell.
     """
     path = Path(path)
     if not path.exists():
@@ -290,14 +288,10 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
             )
         categorical = set(config.categorical_columns)
     else:
-        categorical = set()
-        for j, name in enumerate(feature_names):
-            for row in cells:
-                try:
-                    float(row[j])
-                except ValueError:
-                    categorical.add(name)
-                    break
+        categorical = {
+            name for j, name in enumerate(feature_names)
+            if all(_finite_number(row[j]) is None for row in cells)
+        }
 
     columns = []
     for j, name in enumerate(feature_names):
@@ -314,11 +308,8 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
         typed = []
         for j, spec in enumerate(columns):
             if spec.kind == NUMERIC:
-                try:
-                    value = float(row[j])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
+                value = _finite_number(row[j])
+                if value is None:
                     raise InvalidCsvError(
                         f"{path}: line {line}: cannot parse {row[j]!r} as a finite "
                         f"number in column {spec.name!r}"
@@ -383,8 +374,6 @@ def split(table: RawTable, test_fraction: float = 0.25, seed: int = 0) -> SplitT
         test_rows=[table.rows[i] for i in test_idx],
         y_train=table.labels[train_idx].copy(),
         y_test=table.labels[test_idx].copy(),
-        seed=seed,
-        test_fraction=test_fraction,
     )
 
 
@@ -454,7 +443,6 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
         X_test=X_test,
         y_train=split_table.y_train,
         y_test=split_table.y_test,
-        seed=split_table.seed,
         groups=tuple(groups),
         unseen_category_count=unseen,
         name=name,
@@ -503,24 +491,14 @@ def apply_preprocess(spec: PreprocessSpec, matrix: np.ndarray) -> np.ndarray:
     return (matrix - spec.center) / spec.scale
 
 
-def invert_preprocess(spec: PreprocessSpec, matrix: np.ndarray) -> np.ndarray:
-    """Inverse of apply_preprocess for non-degenerate columns."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != len(spec.center):
-        raise DimensionMismatchError(
-            f"matrix has {matrix.shape[-1] if matrix.ndim else 0} columns, "
-            f"spec expects {len(spec.center)}"
-        )
-    return matrix * spec.scale + spec.center
-
-
 def preprocess_dataset(dataset: Dataset, kind: str) -> tuple[Dataset, PreprocessSpec]:
     """Fit on the training split and return the transformed dataset plus spec."""
     spec = fit_preprocess(dataset, kind)
     return (
-        dataset.with_matrices(
-            apply_preprocess(spec, dataset.X_train),
-            apply_preprocess(spec, dataset.X_test),
+        replace(
+            dataset,
+            X_train=apply_preprocess(spec, dataset.X_train),
+            X_test=apply_preprocess(spec, dataset.X_test),
         ),
         spec,
     )

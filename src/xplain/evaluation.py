@@ -32,7 +32,6 @@ class CorrelationScore:
     r: float
     degenerate: bool = False
     instance_index: int | None = None
-    technique: str | None = None
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,6 @@ class DatasetScoreSet:
     cell's sets share one ground_truths tuple, one entry per test instance."""
 
     dataset_id: str
-    model_kind: str
     technique: str
     scores: tuple[CorrelationScore, ...]
     median: float
@@ -58,7 +56,6 @@ class DatasetScoreSet:
 class RankTable:
     """Per-dataset technique ranks and their cross-dataset average / std."""
 
-    techniques: tuple[str, ...]
     datasets: tuple[str, ...]
     per_dataset: dict[str, dict[str, float]]
     average: dict[str, float]
@@ -80,7 +77,9 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(phi: np.ndarray, lam: np.ndarray, **meta) -> CorrelationScore:
+def spearman(
+    phi: np.ndarray, lam: np.ndarray, instance_index: int | None = None
+) -> CorrelationScore:
     """Spearman rank correlation with fractional ranks for ties.
 
     A rank-constant vector on either side yields r = 0 with the degenerate
@@ -99,9 +98,9 @@ def spearman(phi: np.ndarray, lam: np.ndarray, **meta) -> CorrelationScore:
     va = float(da @ da)
     vb = float(db @ db)
     if va == 0.0 or vb == 0.0:
-        return CorrelationScore(r=0.0, degenerate=True, **meta)
+        return CorrelationScore(r=0.0, degenerate=True, instance_index=instance_index)
     r = float(da @ db) / float(np.sqrt(va * vb))
-    return CorrelationScore(r=r, degenerate=False, **meta)
+    return CorrelationScore(r=r, degenerate=False, instance_index=instance_index)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -120,21 +119,21 @@ def evaluate_instance(
     instance_index: int | None = None,
 ) -> tuple[GroundTruth, list[CorrelationScore]]:
     """One instance's ground truth, extracted once, and one score per technique
-    (in order) correlating its explanation with it; "groundtruth" scores lam."""
+    (in order) correlating its explanation with it."""
     gt = ground_truth(model, x)
-    scores = []
-    for technique in techniques:
-        if technique == "groundtruth":
-            phi = gt.lam
-        else:
-            phi = explain(technique, target_space, model, x, dataset, config, seed).phi
-        scores.append(spearman(phi, gt.lam, instance_index=instance_index, technique=technique))
+    scores = [
+        spearman(
+            explain(technique, target_space, model, x, dataset, config, seed).phi,
+            gt.lam,
+            instance_index=instance_index,
+        )
+        for technique in techniques
+    ]
     return gt, scores
 
 
 def summarize_scores(
     dataset_id: str,
-    model_kind: str,
     technique: str,
     scores: list[CorrelationScore],
     ground_truths: tuple[GroundTruth, ...] = (),
@@ -146,7 +145,6 @@ def summarize_scores(
     inside = r[(r >= q1 - 1.5 * iqr) & (r <= q3 + 1.5 * iqr)]
     return DatasetScoreSet(
         dataset_id=dataset_id,
-        model_kind=model_kind,
         technique=technique,
         scores=tuple(scores),
         median=float(np.median(r)),
@@ -195,7 +193,7 @@ def evaluate_dataset(
         results = [one(k) for k in range(m)]
     ground_truths = tuple(gt for gt, _ in results)
     return [
-        summarize_scores(dataset.name, model.kind, t, [s[i] for _, s in results], ground_truths)
+        summarize_scores(dataset.name, t, [s[i] for _, s in results], ground_truths)
         for i, t in enumerate(techniques)
     ]
 
@@ -230,7 +228,6 @@ def rank_techniques(score_sets: list[DatasetScoreSet]) -> RankTable:
         average[t] = float(rs.mean())
         std[t] = float(rs.std())
     return RankTable(
-        techniques=tuple(techniques),
         datasets=tuple(datasets),
         per_dataset=per_dataset,
         average=average,

@@ -74,31 +74,16 @@ class ExplainerConfig:
 
 @dataclass(frozen=True)
 class Explanation:
-    """Per-feature importance vector for one instance and one technique."""
+    """Per-feature importance vector for one instance and one technique.
+
+    sample_count is LIME's perturbation count, LPI's replacement rows per
+    slot, or the coalition count explain_shap documents; base_value is
+    KernelSHAP's background mean prediction and None for LIME and LPI.
+    """
 
     phi: np.ndarray
-    technique: str
-    target_space: str
     sample_count: int
-    seed: int
     base_value: float | None = None
-
-    def top_k(self, k: int) -> list[tuple[int, float]]:
-        """The k (index, value) pairs of largest absolute importance."""
-        order = np.argsort(-np.abs(self.phi), kind="stable")[:k]
-        return [(int(i), float(self.phi[i])) for i in order]
-
-    def to_record(self, instance_index: int) -> dict:
-        """JSON-serializable export record for one explained instance."""
-        record = {
-            "instance_index": instance_index,
-            "technique": self.technique,
-            "target_space": self.target_space,
-            "phi": [float(v) for v in self.phi],
-        }
-        if self.base_value is not None:
-            record["base_value"] = self.base_value
-        return record
 
 
 def _target_fn(model: ModelHandle, target_space: str):
@@ -165,13 +150,7 @@ def explain_lime(
     penal = np.eye(n + 1)
     penal[0, 0] = 0.0
     beta = np.linalg.solve(gram + penal, Aw.T @ y)
-    return Explanation(
-        phi=beta[1:],
-        technique=LIME,
-        target_space=target_space,
-        sample_count=S,
-        seed=seed,
-    )
+    return Explanation(phi=beta[1:], sample_count=S)
 
 
 def _coalition_values(f, masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -290,14 +269,7 @@ def explain_shap(
     values = _coalition_values(f, masks, x, background)
     phi = _solve_constrained_wls(masks, values, weights, base, fx)
 
-    return Explanation(
-        phi=phi,
-        technique=SHAP,
-        target_space=target_space,
-        sample_count=sample_count,
-        seed=seed,
-        base_value=base,
-    )
+    return Explanation(phi=phi, sample_count=sample_count, base_value=base)
 
 
 def explain_lpi(
@@ -340,13 +312,7 @@ def explain_lpi(
         phi[cols] = score(fx - f(X_rep))
         X_rep[:, cols] = x[cols]  # back to x for the next slot
 
-    return Explanation(
-        phi=phi,
-        technique=LPI,
-        target_space=target_space,
-        sample_count=S,
-        seed=seed,
-    )
+    return Explanation(phi=phi, sample_count=S)
 
 
 _DISPATCH = {LIME: explain_lime, SHAP: explain_shap, LPI: explain_lpi}

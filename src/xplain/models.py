@@ -53,12 +53,6 @@ class ModelHandle:
     model: LogisticModel | GaussianNBModel
     preprocess: PreprocessSpec | None = None
 
-    @property
-    def n_features(self) -> int:
-        if self.kind == LOGISTIC:
-            return len(self.model.weights)
-        return len(self.model.mean0)
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
@@ -303,7 +297,10 @@ def accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def handle_to_dict(handle: ModelHandle) -> dict:
-    """JSON-serializable form of a trained model plus its preprocessing."""
+    """JSON-serializable record of a trained model plus its preprocessing.
+
+    `xplain train` writes it as an output record; nothing loads it back.
+    """
     out: dict = {"kind": handle.kind}
     if handle.kind == LOGISTIC:
         m = handle.model
@@ -330,38 +327,3 @@ def handle_to_dict(handle: ModelHandle) -> dict:
     if handle.preprocess is not None:
         out["preprocess"] = handle.preprocess.to_dict()
     return out
-
-
-def handle_from_dict(raw: dict) -> ModelHandle:
-    kind = raw["kind"]
-    inner = raw["model"]
-    if kind == LOGISTIC:
-        model = LogisticModel(
-            weights=np.asarray(inner["weights"], dtype=float),
-            intercept=float(inner["intercept"]),
-            penalty=inner["penalty"],
-            strength=float(inner["strength"]),
-            iterations=int(inner.get("iterations", 0)),
-            final_objective=float(inner.get("final_objective", float("nan"))),
-            objective_checkpoints=tuple(
-                float(v) for v in inner.get("objective_checkpoints", ())
-            ),
-            converged=bool(inner.get("converged", True)),
-        )
-    elif kind == GAUSSIAN_NB:
-        model = GaussianNBModel(
-            mean0=np.asarray(inner["mean0"], dtype=float),
-            mean1=np.asarray(inner["mean1"], dtype=float),
-            var0=np.asarray(inner["var0"], dtype=float),
-            var1=np.asarray(inner["var1"], dtype=float),
-            prior0=float(inner["prior0"]),
-            prior1=float(inner["prior1"]),
-        )
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    spec = raw.get("preprocess")
-    return ModelHandle(
-        kind=kind,
-        model=model,
-        preprocess=None if spec is None else PreprocessSpec.from_dict(spec),
-    )

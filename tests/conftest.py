@@ -40,7 +40,6 @@ def numeric_dataset(X_train, X_test=None, y_train=None, y_test=None, name="test"
         X_test=X_test,
         y_train=np.asarray(y_train),
         y_test=np.asarray(y_test),
-        seed=0,
         name=name,
     )
 

@@ -158,6 +158,7 @@ def bad_configs(tmp_path):
         ("fraction_str", "test_fraction", "x"),
         ("seed_str", "seed", "x"),
         ("seed_float", "seed", 1.7),
+        ("seed_negative", "seed", -3),
         ("cats_int", "categorical_columns", 5),
         ("cats_str", "categorical_columns", "species"),
     ]:
@@ -169,6 +170,7 @@ def bad_configs(tmp_path):
         ("short_row", [header, values, *rest], []),
         ("long_row", [header, first + ",9.9", *rest], []),
         ("bad_number", [header, "oops," + values, *rest], []),
+        ("bad_number_auto", [header, "oops," + values, *rest], None),
         ("nan_cell", [header, "nan," + values, *rest], []),
         ("one_category", [header + ",const"] + [line + ",x" for line in [first, *rest]],
          ["const"]),
@@ -219,6 +221,13 @@ def bad_configs(tmp_path):
     ["evaluate", "--dataset", "BAD/unknown_category.json", "--model", "gnb"],
     ["explain", "--dataset", "BAD/not_utf8.json", "--model", "gnb",
      "--technique", "lpi", "--index", "0"],
+    ["train", "--dataset", "BAD/bad_number_auto.json", "--model", "gnb"],
+    ["train", "--dataset", "IRIS", "--model", "lr", "--seed", "-1"],
+    ["explain", "--dataset", "IRIS", "--model", "gnb", "--technique", "lpi",
+     "--index", "0", "--seed", "-1"],
+    ["evaluate", "--dataset", "IRIS", "--model", "gnb", "--seed", "-1"],
+    ["train", "--dataset", "BAD/seed_negative.json", "--model", "gnb"],
+    ["train", "--dataset", "IRIS", "--model", "gnb", "--out", "BAD"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -230,7 +239,9 @@ def bad_configs(tmp_path):
     "train-csv-duplicate-header", "explain-csv-short-row", "evaluate-csv-long-row",
     "train-csv-bad-number", "train-csv-nan-cell", "explain-csv-one-category",
     "train-unknown-categorical-column", "evaluate-unknown-categorical-column",
-    "explain-csv-not-utf8",
+    "explain-csv-not-utf8", "train-csv-autodetect-bad-number",
+    "train-negative-seed", "explain-negative-seed", "evaluate-negative-seed",
+    "train-negative-config-seed", "train-out-is-a-directory",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
@@ -247,7 +258,9 @@ def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     (["--technique", "mystery"], None),
     (["--technique", ","], None),
     ([], "abc"),
-], ids=["lime-samples-0", "unknown-technique", "empty-technique-list", "bad-thread-count"])
+    (["--seed", "-1"], None),
+], ids=["lime-samples-0", "unknown-technique", "empty-technique-list", "bad-thread-count",
+        "negative-seed"])
 def test_rejected_evaluate_creates_no_out_dir(argv, threads, tmp_path, monkeypatch):
     if threads is not None:
         monkeypatch.setenv("XPLAIN_THREADS", threads)
@@ -266,18 +279,29 @@ def test_missing_config_key_named(bad_configs, tmp_path, capsys):
     )
 
 
-def test_benchmark_tracer_installs():
-    """The benchmark's tracer patches xplain names by module attribute; a
-    renamed or removed name must fail here, not only in a traced bench run."""
+def test_benchmark_tracer_installs(tmp_path):
+    """The benchmark's tracer patches xplain names by module attribute and reads
+    fields of their results; a renamed or removed name or field must fail here,
+    not only in a traced bench run."""
     root = SRC_DIR.parent
-    code = (
-        "import sys; sys.path.insert(0, 'perfbench'); "
-        "from spans import Tracer; Tracer().install()"
+    spans_file = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "XPLAIN_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/child.py", "traced", str(spans_file), "--",
+         "evaluate", "--dataset", ds_config("iris_binary"), "--model", "both",
+         "--technique", "lime,shap,lpi", "--out", str(tmp_path / "out"),
+         "--trials", "2", "--lime-samples", "50", "--shap-samples", "50",
+         "--shap-background", "5", "--lpi-samples", "10"],
+        cwd=root, env=env, capture_output=True, text=True,
     )
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    name, attrs = 2, 6  # span record fields, perfbench/spans.py
+    spans = json.loads(spans_file.read_text())["spans"]
+    shap = [s[attrs] for s in spans
+            if s[name] == "explainers.explain" and s[attrs]["technique"] == "shap"]
+    fits = [s[attrs] for s in spans if s[name] == "models.fit_logistic"]
+    assert shap and all(a["coalitions"] == 2**4 for a in shap)  # exact, 4 features
+    assert fits and all(a["iterations"] >= 1 for a in fits)
 
 
 def run_explain(extra):

@@ -90,6 +90,29 @@ class TestLoadCsv:
         with pytest.raises(InvalidConfigError, match="'nope', 'B'$"):
             data.load_csv(path, cfg_for(path, categorical=("b", "nope", "B")))
 
+    def test_autodetect_all_text_column_is_categorical(self, csv_dir):
+        header, *rows = (DATASETS_DIR / "pima.csv").read_text().splitlines()
+        sites = ("north", "south", "east")
+        path = write_csv(csv_dir / "pima.csv", "site," + header,
+                         [f"{sites[i % 3]},{row}" for i, row in enumerate(rows)])
+        table = data.load_csv(path, cfg_for(path, target="diabetes", positive="1"))
+        assert [c.name for c in table.columns if c.kind == "categorical"] == ["site"]
+        assert table.columns[0].categories == sites
+
+    def test_autodetect_text_cell_in_numeric_column_named(self, csv_dir):
+        """Without categorical_columns, one bad cell does not turn a numeric
+        column categorical: it is an error naming the CSV, line, column and cell."""
+        header, *rows = (DATASETS_DIR / "pima.csv").read_text().splitlines()
+        cells = rows[3].split(",")
+        cells[header.split(",").index("glucose")] = "oops"
+        rows[3] = ",".join(cells)
+        path = write_csv(csv_dir / "pima.csv", header, rows)
+        with pytest.raises(InvalidCsvError) as info:
+            data.load_csv(path, cfg_for(path, target="diabetes", positive="1"))
+        assert str(info.value) == (
+            f"{path}: line 5: cannot parse 'oops' as a finite number in column 'glucose'"
+        )
+
     def test_quoted_fields(self, csv_dir):
         path = write_csv(csv_dir / "t.csv", "desc,label",
                          ['"big, heavy",yes', '"small",no'])
@@ -153,8 +176,6 @@ def categorical_split(train_values, test_values, extra_numeric=True):
         test_rows=test_rows,
         y_train=np.array([i % 2 for i in range(len(train_rows))]),
         y_test=np.array([i % 2 for i in range(len(test_rows))]),
-        seed=0,
-        test_fraction=0.25,
     )
 
 
@@ -203,14 +224,13 @@ def dataset_from_matrix(X, n_test=2):
         X_test=X[-n_test:],
         y_train=np.array([i % 2 for i in range(len(X) - n_test)]),
         y_test=np.array([i % 2 for i in range(n_test)]),
-        seed=0,
     )
 
 
 def layout_kwargs(**overrides):
     X = np.arange(30, dtype=float).reshape(6, 5)
     kwargs = dict(feature_names=tuple("abcde"), X_train=X[:4], X_test=X[4:],
-                  y_train=np.array([0, 1, 0, 1]), y_test=np.array([0, 1]), seed=0)
+                  y_train=np.array([0, 1, 0, 1]), y_test=np.array([0, 1]))
     return {**kwargs, **overrides}
 
 
@@ -223,7 +243,7 @@ class TestLayout:
         rng = np.random.default_rng(3)
         X = rng.normal(1.0, 2.0, (40, 4))
         ds = data.Dataset(feature_names=tuple("abcd"), X_train=X[:30], X_test=X[30:],
-                          y_train=np.arange(30) % 2, y_test=np.arange(10) % 2, seed=0)
+                          y_train=np.arange(30) % 2, y_test=np.arange(10) % 2)
         assert ds.numeric_indices == (0, 1, 2, 3)
         w = np.array([1.0, 2.0, 3.0, 4.0])
         x = ds.X_test[0]
@@ -298,7 +318,7 @@ class TestPreprocess:
         for kind in data.PREPROCESS_KINDS:
             spec = data.fit_preprocess(ds, kind)
             out = data.apply_preprocess(spec, ds.X_test)
-            back = data.invert_preprocess(spec, out)
+            back = out * spec.scale + spec.center
             assert np.max(np.abs(back - ds.X_test)) < 1e-12
 
     def test_identity_spec_fixed_point(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,13 +104,6 @@ def test_fractional_ranks_ties():
 
 
 class TestEvaluateInstance:
-    def test_groundtruth_self_comparison(self):
-        rng = np.random.default_rng(4)
-        ds = numeric_dataset(rng.normal(0, 1, (40, 5)))
-        handle = linear_handle(rng.normal(0, 1, 5))
-        _, (score,) = evaluate_instance(ds.X_test[0], handle, ["groundtruth"], "logodds", ds)
-        assert score.r == 1.0
-
     def test_lpi_lr_standardized_perfect(self):
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (200, 6))
@@ -129,13 +123,13 @@ class TestEvaluateInstance:
 class TestSummarize:
     def test_quartiles(self):
         scores = [CorrelationScore(r=v) for v in (0.2, 0.4, 0.6, 0.8)]
-        s = summarize_scores("d", "lr", "lpi", scores)
+        s = summarize_scores("d", "lpi", scores)
         assert s.median == 0.5
         assert s.q1 == pytest.approx(0.35)
         assert s.q3 == pytest.approx(0.65)
 
     def test_singleton(self):
-        s = summarize_scores("d", "lr", "lpi", [CorrelationScore(r=0.31)])
+        s = summarize_scores("d", "lpi", [CorrelationScore(r=0.31)])
         assert s.median == 0.31 and s.q1 == 0.31 and s.whisker_high == 0.31
 
     def test_degenerate_and_significant_counts(self):
@@ -145,13 +139,13 @@ class TestSummarize:
             CorrelationScore(r=0.71),
             CorrelationScore(r=0.7),
         ]
-        s = summarize_scores("d", "gnb", "lime", scores)
+        s = summarize_scores("d", "lime", scores)
         assert s.degenerate_count == 1
         assert s.significant_count == 2  # strictly above 0.7
 
     def test_whiskers_exclude_outliers(self):
         rs = [0.8, 0.82, 0.84, 0.86, 0.88, -0.9]
-        s = summarize_scores("d", "lr", "shap", [CorrelationScore(r=v) for v in rs])
+        s = summarize_scores("d", "shap", [CorrelationScore(r=v) for v in rs])
         assert s.whisker_low == 0.8
         assert s.whisker_high == 0.88
 
@@ -221,13 +215,13 @@ class TestEvaluateDataset:
 
     def test_empty_test_split_rejected(self):
         ds, handle, cfg = self.make()
-        empty = ds.with_matrices(ds.X_train, ds.X_test[:0])
+        empty = dataclasses.replace(ds, X_test=ds.X_test[:0])
         with pytest.raises(ValueError):
             evaluate_dataset(empty, handle, ["lpi"], "logodds", cfg, seed=1)
 
 
 def score_set(dataset, technique, median):
-    return summarize_scores(dataset, "gnb", technique, [CorrelationScore(r=median)])
+    return summarize_scores(dataset, technique, [CorrelationScore(r=median)])
 
 
 class TestRankTechniques:

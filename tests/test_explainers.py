@@ -50,8 +50,6 @@ def categorical_dataset(seed=0, m=80):
         test_rows=rows[m - 10 :],
         y_train=np.array([i % 2 for i in range(m - 10)]),
         y_test=np.array([i % 2 for i in range(10)]),
-        seed=0,
-        test_fraction=0.25,
     )
     return data.encode_onehot(parts)
 
@@ -372,7 +370,6 @@ class TestDispatch:
         x = rng.normal(0, 1, 5)
         e = explain("shap", "probability", handle, x, ds, seed=1)
         assert abs(e.base_value + e.phi.sum() - predict_proba(handle, x)) < 1e-6
-        assert e.target_space == "probability"
 
     def test_lpi_sign_pattern_monotone_link(self):
         rng = np.random.default_rng(19)
@@ -392,24 +389,6 @@ class TestDispatch:
         ds = numeric_dataset(np.zeros((10, 2)))
         with pytest.raises(ValueError):
             explain("lime", "odds", linear_handle([1, 1]), np.zeros(2), ds)
-
-    def test_top_k(self):
-        ds = numeric_dataset(np.random.default_rng(20).normal(0, 1, (40, 4)))
-        handle = linear_handle([0.1, -3.0, 2.0, 0.0])
-        e = explain_lpi(handle, np.ones(4), ds, seed=3)
-        top = e.top_k(2)
-        assert [i for i, _ in top] == [1, 2]
-
-    def test_to_record(self):
-        ds = numeric_dataset(np.random.default_rng(22).normal(0, 1, (40, 3)))
-        handle = linear_handle([1.0, 2.0, -1.0])
-        e = explain_shap(handle, np.ones(3), ds, seed=4)
-        record = e.to_record(instance_index=7)
-        assert record["instance_index"] == 7
-        assert record["technique"] == "shap"
-        assert record["target_space"] == "logodds"
-        assert len(record["phi"]) == 3
-        assert "base_value" in record
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from xplain.models import (
     ModelHandle,
     accuracy,
     fit_logistic,
-    handle_from_dict,
     handle_to_dict,
     predict_logodds,
     predict_proba,
@@ -238,6 +237,8 @@ class TestPredict:
 
 class TestSerialization:
     def test_roundtrip(self):
+        """The model JSON `xplain train` writes carries every fitted parameter
+        and the preprocessing, exactly, through a JSON round trip."""
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (60, 3))
         y = (rng.random(60) < 0.5).astype(int)
@@ -253,26 +254,19 @@ class TestSerialization:
             # stopped early: not converged, two objective checkpoints
             ModelHandle("lr", fit_logistic(X, y, "l2", 0.1, max_iter=3), preprocess=spec),
         ):
-            blob = json.dumps(handle_to_dict(handle), sort_keys=True)
-            back = handle_from_dict(json.loads(blob))
-            if handle.kind == "lr":
-                for attr in ("iterations", "final_objective",
-                             "objective_checkpoints", "converged"):
-                    assert getattr(back.model, attr) == getattr(handle.model, attr), attr
-            x = rng.normal(0, 1, 3)
-            assert predict_logodds(back, x) == pytest.approx(
-                predict_logodds(handle, x), abs=1e-15
-            )
-            assert back.preprocess.kind == "standardize"
-            assert np.array_equal(back.preprocess.scale, spec.scale)
-
-    def test_reads_older_preprocess_key(self):
-        """Model JSON written before the layout lived only on Dataset carries
-        preprocess.numeric_indices; it still loads, and no file writes it now."""
-        spec = data.PreprocessSpec("minmax", np.array([0.5, 1.0]), np.array([2.0, 4.0]))
-        blob = handle_to_dict(ModelHandle("gnb", train_gnb(np.eye(4)[:, :2], [0, 1, 0, 1]), spec))
-        assert set(blob["preprocess"]) == {"kind", "center", "scale"}
-        blob["preprocess"]["numeric_indices"] = [0, 1]
-        back = handle_from_dict(blob)
-        assert np.array_equal(back.preprocess.center, spec.center)
-        assert np.array_equal(back.preprocess.scale, spec.scale)
+            blob = json.loads(json.dumps(handle_to_dict(handle), sort_keys=True))
+            assert blob["kind"] == handle.kind
+            fields = (("weights", "intercept", "penalty", "strength", "iterations",
+                       "final_objective", "objective_checkpoints", "converged")
+                      if handle.kind == "lr" else
+                      ("mean0", "mean1", "var0", "var1", "prior0", "prior1"))
+            assert set(blob["model"]) == set(fields)
+            for name in fields:
+                value = getattr(handle.model, name)
+                if isinstance(value, (np.ndarray, tuple)):
+                    value = [float(v) for v in value]
+                assert blob["model"][name] == value, name
+            assert set(blob["preprocess"]) == {"kind", "center", "scale"}
+            assert blob["preprocess"]["kind"] == "standardize"
+            assert blob["preprocess"]["center"] == spec.center.tolist()
+            assert blob["preprocess"]["scale"] == spec.scale.tolist()
