@@ -179,24 +179,34 @@ def cmd_evaluate(args) -> int:
     # score_sets[kind] -> list of DatasetScoreSet across datasets
     score_sets: dict[str, list[DatasetScoreSet]] = {k: [] for k in model_kinds}
     reports: list[tuple[Path, dict]] = []
+    first_config: dict[str, str] = {}  # dataset name -> the config that claimed it
     failed = False
+
+    def fail(name: str, stage: str, message: object) -> None:
+        nonlocal failed
+        print(f"error: dataset {name!r} failed at stage {stage}: {message}", file=sys.stderr)
+        failed = True
 
     def run_stage(name: str, stage: str, fn, *fn_args, **fn_kwargs):
         """fn's result, or None after a one-line diagnostic naming dataset and stage."""
-        nonlocal failed
         try:
             return fn(*fn_args, **fn_kwargs)
         except Exception as exc:  # noqa: BLE001 - diagnostics per dataset and stage
-            print(f"error: dataset {name!r} failed at stage {stage}: {exc}", file=sys.stderr)
-            failed = True
+            fail(name, stage, exc)
             return None
 
     for cfg_path in args.dataset:
-        prepared = run_stage(Path(cfg_path).stem, "data", _prepare, cfg_path, args.preprocess)
+        prepared = run_stage(Path(cfg_path).stem or cfg_path, "data",
+                             _prepare, cfg_path, args.preprocess)
         if prepared is None:
             continue
         dataset, spec = prepared
         name = dataset.name
+        # reports and box-plot rows are keyed by name
+        if name in first_config:
+            fail(name, "data", f"name already used by {first_config[name]}")
+            continue
+        first_config[name] = cfg_path
         for kind in model_kinds:
             handle = run_stage(name, f"train[{kind}]", _train, kind, dataset, spec, args)
             if handle is None:

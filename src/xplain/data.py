@@ -60,6 +60,8 @@ class DatasetConfig:
                 raw = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidConfigError(f"{path}: not a JSON object ({exc})") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise InvalidConfigError(f"{path}: cannot read ({exc.strerror})") from None
         if not isinstance(raw, dict):
             raise InvalidConfigError(f"{path}: not a JSON object")
         for key in ("csv_path", "target_column", "positive_label"):
@@ -227,25 +229,29 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
     whole file (they are re-fitted on training rows during encoding). A
     duplicate header name, a row whose cell count differs from the header's, or
     a numeric cell that is not a finite number raises InvalidCsvError naming
-    the file, CSV line, column and cell.
+    the file, CSV line, column and cell. A missing file raises
+    FileNotFoundError; one that cannot be read (a directory, no permission)
+    raises InvalidCsvError.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     lines: list[int] = []  # the CSV line each record ends on
     records: list[list[str]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             header = next(reader)
             for row in reader:
                 if row:
                     lines.append(reader.line_num)
                     records.append(row)
-        except StopIteration:
-            raise NonBinaryTargetError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise InvalidCsvError(f"{path}: not UTF-8 text ({exc})") from None
+    except StopIteration:
+        raise NonBinaryTargetError(f"{path}: empty file") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidCsvError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:  # a directory, unreadable
+        raise InvalidCsvError(f"{path}: cannot read ({exc.strerror})") from None
 
     for j, name in enumerate(header):
         if name in header[:j]:

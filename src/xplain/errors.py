@@ -10,9 +10,10 @@ class InvalidConfigError(XplainError, ValueError):
 
 
 class InvalidCsvError(XplainError, ValueError):
-    """A dataset CSV cannot be read into a table: a duplicate header name, a row
-    whose cell count differs from the header's, an unparseable numeric cell, or
-    a categorical column with fewer than two training categories."""
+    """A dataset CSV cannot be read into a table: the file is unreadable, a
+    duplicate header name, a row whose cell count differs from the header's, an
+    unparseable numeric cell, or a categorical column with fewer than two
+    training categories."""
 
 
 class NonBinaryTargetError(XplainError):

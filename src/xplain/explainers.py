@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,15 +192,20 @@ def _solve_constrained_wls(
     return np.append(beta, (fx - base) - beta.sum())
 
 
+@lru_cache(maxsize=EXACT_SHAP_LIMIT)
 def _exact_coalitions(n: int):
     """The 2^n - 2 proper coalitions (codes 1 .. 2^n - 2, bit j = feature j)
     with their Shapley kernel weights (n - 1) / (C(n, s) s (n - s)) for size s.
-    No rows for n = 1."""
+    No rows for n = 1. Built once per n and shared by every caller, so both
+    arrays are read-only."""
     codes = np.arange(1, 2**n - 1, dtype=np.int64)
     masks = ((codes[:, None] >> np.arange(n)) & 1).astype(bool)
     sizes = masks.sum(axis=1)
     comb = np.array([math.comb(n, s) for s in range(n + 1)])
-    return masks, (n - 1) / (comb[sizes] * sizes * (n - sizes))
+    weights = (n - 1) / (comb[sizes] * sizes * (n - sizes))
+    masks.flags.writeable = False
+    weights.flags.writeable = False
+    return masks, weights
 
 
 def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):

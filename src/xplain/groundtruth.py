@@ -2,7 +2,9 @@
 
 The attributions are the model family's own per-feature log-odds terms
 (models.feature_terms): weights[j] * x[j] for logistic regression, the
-per-feature Gaussian log density ratio for naive Bayes. The intercept / prior
+per-feature Gaussian log density ratio log N(x_j | 1) - log N(x_j | 0) for
+naive Bayes, a quadratic (quad_j * x_j + lin_j) * x_j + const_j whose
+coefficients come from the class means and variances. The intercept / prior
 term is kept as a separate offset: it has no feature rank and never enters the
 correlations. predict_logodds sums the same terms, so
 offset + sum(lam) == predict_logodds(x) holds by construction.

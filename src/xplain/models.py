@@ -5,11 +5,21 @@ a featureless offset plus one term per feature (w_j * x_j for LR, the
 per-feature Gaussian log density ratio for GNB). predict_logodds sums those
 terms and predict_proba is the clipped sigmoid of that sum, so the additive
 ground-truth decomposition is exact by construction.
+
+GNB's log density ratio log N(x_j | 1) - log N(x_j | 0) is a quadratic in x_j,
+(quad_j * x_j + lin_j) * x_j + const_j, with
+
+    quad  = -0.5 * (1/var1 - 1/var0)
+    lin   = mean1/var1 - mean0/var0
+    const = -0.5 * (log var1 - log var0 + mean1^2/var1 - mean0^2/var0)
+
+derived once per model (GaussianNBModel.quadratic).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +53,16 @@ class GaussianNBModel:
     var1: np.ndarray
     prior0: float
     prior1: float
+
+    @cached_property
+    def quadratic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(quad, lin, const): the per-feature coefficients of the log density
+        ratio, term_j = (quad_j * x_j + lin_j) * x_j + const_j."""
+        mean0, mean1, var0, var1 = self.mean0, self.mean1, self.var0, self.var1
+        quad = -0.5 * (1.0 / var1 - 1.0 / var0)
+        lin = mean1 / var1 - mean0 / var0
+        const = -0.5 * (np.log(var1) - np.log(var0) + mean1**2 / var1 - mean0**2 / var0)
+        return quad, lin, const
 
 
 @dataclass(frozen=True)
@@ -256,20 +276,23 @@ def feature_terms(model, x) -> tuple[float, np.ndarray]:
     """Class-1 log-odds split into (offset, per-feature terms).
 
     LR: offset = intercept, term_j = w_j * x_j. GNB: offset = log prior ratio,
-    term_j = log N(x_j | class 1) - log N(x_j | class 0). Accepts a single
-    instance (n,) or a batch (m, n); the terms have the shape of x.
+    term_j = log N(x_j | class 1) - log N(x_j | class 0), evaluated from the
+    model's quadratic coefficients. Accepts a single instance (n,) or a batch
+    (m, n); the terms have the shape of x.
     """
     kind, inner = _resolve(model)
     if kind == LOGISTIC:
         x = _check_input(x, len(inner.weights))
         return inner.intercept, inner.weights * x
     x = _check_input(x, len(inner.mean0))
-
-    def logpdf(mu, var):
-        return -0.5 * (np.log(2.0 * np.pi * var) + (x - mu) ** 2 / var)
-
+    quad, lin, const = inner.quadratic
+    # Horner form in one array, updated in place
+    terms = quad * x
+    terms += lin
+    terms *= x
+    terms += const
     offset = float(np.log(inner.prior1) - np.log(inner.prior0))
-    return offset, logpdf(inner.mean1, inner.var1) - logpdf(inner.mean0, inner.var0)
+    return offset, terms
 
 
 def predict_logodds(model, x) -> float | np.ndarray:

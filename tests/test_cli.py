@@ -134,6 +134,39 @@ class TestEvaluate:
         assert len(errors) == 1
         assert errors[0].startswith("error: dataset 'nope' failed at stage data: ")
 
+    def test_duplicate_dataset_name_fails_its_data_stage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        iris = ds_config("iris_binary")
+        code = cli.main([
+            "evaluate", "--dataset", iris, "--dataset", iris,
+            "--dataset", ds_config("haberman"),
+            "--model", "gnb", "--out", str(out), *FAST_FLAGS,
+        ])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [
+            f"error: dataset 'iris_binary' failed at stage data: name already used by {iris}"
+        ]
+        # the other datasets still ran, and iris_binary's rows appear once
+        assert (out / "haberman__gnb.report.json").exists()
+        with open(out / "box_plot.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        iris_rows = [r for r in rows if r["dataset"] == "iris_binary"]
+        report = json.loads((out / "iris_binary__gnb.report.json").read_text())
+        assert len(iris_rows) == 3 * report["test_instances"]
+        rank_table = json.loads((out / "rank_table.json").read_text())
+        assert sorted(rank_table["models"]["gnb"]["per_dataset"]) == ["haberman", "iris_binary"]
+
+    def test_dataset_directory_named_by_its_path(self, tmp_path, capsys, monkeypatch):
+        """`--dataset .` has an empty stem; the diagnostic names the path."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["evaluate", "--dataset", ".", "--model", "gnb",
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: dataset '.' failed at stage data: .: cannot read ("), err
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_count_one_line_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("XPLAIN_THREADS", value)
@@ -161,6 +194,7 @@ def bad_configs(tmp_path):
         ("seed_negative", "seed", -3),
         ("cats_int", "categorical_columns", 5),
         ("cats_str", "categorical_columns", "species"),
+        ("csv_is_dir", "csv_path", "."),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**iris, key: value}))
     header, first, *rest = (DATASETS_DIR / "iris_binary.csv").read_text().splitlines()
@@ -228,6 +262,13 @@ def bad_configs(tmp_path):
     ["evaluate", "--dataset", "IRIS", "--model", "gnb", "--seed", "-1"],
     ["train", "--dataset", "BAD/seed_negative.json", "--model", "gnb"],
     ["train", "--dataset", "IRIS", "--model", "gnb", "--out", "BAD"],
+    ["train", "--dataset", "BAD", "--model", "gnb"],
+    ["explain", "--dataset", "BAD", "--model", "gnb", "--technique", "lpi", "--index", "0"],
+    ["evaluate", "--dataset", "BAD", "--model", "gnb"],
+    ["train", "--dataset", "BAD/csv_is_dir.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/csv_is_dir.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
+    ["evaluate", "--dataset", "BAD/csv_is_dir.json", "--model", "gnb"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -242,6 +283,9 @@ def bad_configs(tmp_path):
     "explain-csv-not-utf8", "train-csv-autodetect-bad-number",
     "train-negative-seed", "explain-negative-seed", "evaluate-negative-seed",
     "train-negative-config-seed", "train-out-is-a-directory",
+    "train-config-is-a-directory", "explain-config-is-a-directory",
+    "evaluate-config-is-a-directory", "train-csv-is-a-directory",
+    "explain-csv-is-a-directory", "evaluate-csv-is-a-directory",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))

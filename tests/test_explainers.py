@@ -243,6 +243,15 @@ class TestCoalitionGenerators:
             assert np.array_equal(masks, ref_masks), n
             assert np.array_equal(weights, ref_weights), n
 
+    def test_exact_design_is_cached_and_read_only(self):
+        for n in (1, 4, 12):
+            masks, weights = explainers._exact_coalitions(n)
+            again = explainers._exact_coalitions(n)
+            assert again[0] is masks and again[1] is weights
+            for array in (masks, weights):
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
     def test_sampled_matches_reference_without_empty_and_full(self):
         for n in (2, 3, 14, 19, 30):
             for samples in (1, 2, 3, 4, 7, 50, 1300, 3000):

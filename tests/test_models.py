@@ -12,6 +12,7 @@ from xplain.models import (
     LogisticModel,
     ModelHandle,
     accuracy,
+    feature_terms,
     fit_logistic,
     handle_to_dict,
     predict_logodds,
@@ -233,6 +234,78 @@ class TestPredict:
         handle = ModelHandle("lr", LogisticModel(np.zeros(2), 0.0, "l2", 0.0))
         with pytest.raises(ValueError):
             predict_logodds(handle, np.array([1.0, np.nan]))
+
+
+def _logpdf_ratio(model, X):
+    """Oracle: log N(x_j | 1) - log N(x_j | 0) as two Gaussian log densities,
+    written out independently of the quadratic form feature_terms uses."""
+    def logpdf(mu, var):
+        return -0.5 * (np.log(2.0 * np.pi * var) + (X - mu) ** 2 / var)
+
+    return logpdf(model.mean1, model.var1) - logpdf(model.mean0, model.var0)
+
+
+def _assert_columns_match_oracle(model, X, label):
+    """Per column, within 1e-12 of the column's largest oracle term (at least 1)."""
+    _, terms = feature_terms(model, X)
+    oracle = _logpdf_ratio(model, X)
+    scale = np.maximum(1.0, np.max(np.abs(oracle), axis=0))
+    err = np.max(np.abs(terms - oracle), axis=0)
+    assert np.all(err <= 1e-12 * scale), (label, err / scale)
+
+
+class TestGnbQuadraticTerms:
+    def test_random_models_match_logpdf_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            model = GaussianNBModel(
+                mean0=rng.normal(0, 1, n), mean1=rng.normal(0, 1, n),
+                var0=rng.uniform(0.5, 3.0, n), var1=rng.uniform(0.5, 3.0, n),
+                prior0=0.4, prior1=0.6,
+            )
+            X = rng.normal(0, 2, (20, n))
+            for x in (X, X[0]):
+                _, terms = feature_terms(model, x)
+                assert terms.shape == x.shape
+                assert np.max(np.abs(terms - _logpdf_ratio(model, x))) < 1e-12
+
+    @pytest.mark.parametrize("pure_class", [0, 1])
+    def test_pure_class_column_matches_oracle(self, pure_class):
+        """A one-hot column that is all zeros in one class gets the floored
+        variance there, so its terms reach about 1e9 on the other class's ones."""
+        rng = np.random.default_rng(30 + pure_class)
+        m = 300
+        y = (rng.random(m) < 0.5).astype(int)
+        X = rng.normal(0, 1, (m, 4))
+        X[:, 2] = rng.random(m) < 0.4
+        X[y == pure_class, 2] = 0.0
+        model = train_gnb(X, y)
+        floored = (model.var0, model.var1)[pure_class]
+        assert floored[2] == 1e-9 * float(X.var(axis=0).max())
+        batch = np.vstack([X, rng.normal(0, 2, (50, 4))])
+        _assert_columns_match_oracle(model, batch, pure_class)
+
+    @pytest.mark.parametrize("kind", data.PREPROCESS_KINDS)
+    def test_bundled_datasets_match_oracle(self, kind):
+        for name in BUNDLED:
+            config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
+            ds, _ = data.preprocess_dataset(data.load_dataset(config), kind)
+            model = train_gnb(ds.X_train, ds.y_train)
+            for X in (ds.X_train, ds.X_test):
+                _assert_columns_match_oracle(model, X, name)
+
+    def test_logodds_is_offset_plus_terms_and_json_keys_unchanged(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(0, 1, (80, 5))
+        y = (rng.random(80) < 0.5).astype(int)
+        handle = ModelHandle("gnb", train_gnb(X, y))
+        batch = rng.normal(0, 3, (40, 5))
+        offset, terms = feature_terms(handle, batch)
+        assert np.array_equal(predict_logodds(handle, batch), offset + np.sum(terms, axis=-1))
+        # the coefficients derived for scoring are not part of the model record
+        assert set(handle_to_dict(handle)["model"]) == {
+            "mean0", "mean1", "var0", "var1", "prior0", "prior1"}
 
 
 class TestSerialization:
