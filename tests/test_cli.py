@@ -76,7 +76,8 @@ class TestEvaluate:
 
     def test_box_plot_csv_recomputes_rank_table(self, evaluate_run):
         _, out, _ = evaluate_run
-        rows = list(csv.DictReader((out / "box_plot.csv").open()))
+        with (out / "box_plot.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["technique"] for r in rows} == {"lime", "shap", "lpi"}
         datasets = ("iris_binary", "haberman", "pima")
         table = json.loads((out / "rank_table.json").read_text())

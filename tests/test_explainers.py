@@ -266,6 +266,61 @@ class TestCoalitionGenerators:
                     assert np.array_equal(weights, ref_weights[2:]), case
                     assert 2 + weights.sum() == ref_weights.sum(), case
 
+    def test_sampled_matches_reference_wide_masks(self):
+        # 8/9 columns straddle a byte boundary of the packed keys; 64/70 give
+        # keys of 8 and 9 bytes
+        for n in (8, 9, 64, 70):
+            for samples in (1, 2, 3, 50, 1300):
+                for seed in range(3):
+                    masks, weights = explainers._sample_coalitions(
+                        n, samples, np.random.default_rng(seed))
+                    ref_masks, ref_weights = _reference_sample_coalitions(
+                        n, samples, np.random.default_rng(seed))
+                    case = (n, samples, seed)
+                    assert masks.shape == (len(ref_masks) - 2, n), case
+                    assert np.array_equal(masks, ref_masks[2:]), case
+                    assert np.array_equal(weights, ref_weights[2:]), case
+
+
+class TestCoalitionValues:
+    """_coalition_values scores coalitions in blocks of whole coalitions;
+    the blocking must not change any value."""
+
+    @staticmethod
+    def _case(n, B, masks, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 1, (B + 40, n)) * rng.uniform(0.5, 2.0, n)
+        y = (rng.random(len(X)) < 0.5).astype(int)
+        y[:2] = [0, 1]
+        handle = ModelHandle("gnb", train_gnb(X, y))
+        calls = []
+
+        def f(Z):
+            calls.append(len(Z))
+            return predict_logodds(handle, Z)
+
+        x, background = X[-1], X[:B]
+        values = explainers._coalition_values(f, masks, x, background)
+        whole = np.where(masks[:, None, :], x, background[None, :, :])
+        single = predict_logodds(handle, whole.reshape(-1, n)).reshape(len(masks), B).mean(axis=1)
+        return values, single, calls
+
+    @pytest.mark.parametrize("n,B,sampled", [(12, 3, False), (19, 350, True), (12, 5000, False)])
+    def test_blocks_match_one_call(self, n, B, sampled):
+        if sampled:
+            masks, _ = explainers._sample_coalitions(n, 1300, np.random.default_rng(1))
+        else:
+            masks, _ = explainers._exact_coalitions(n)
+            if B > 4096:
+                masks = masks[::64]  # a slice of the design keeps the reference call small
+        values, single, calls = self._case(n, B, masks)
+        assert np.array_equal(values, single)
+        assert len(calls) > 1
+        assert max(calls) <= max(4096, B)
+        assert sum(calls) == len(masks) * B
+        if B > 4096:
+            assert calls == [B] * len(masks)
+
 
 class TestGnbAdditiveOracle:
     """In log-odds GNB is additive, so interventional SHAP and full-permutation
