@@ -163,9 +163,12 @@ def cmd_evaluate(args) -> int:
     if not techniques:
         print("error: --technique names no technique", file=sys.stderr)
         return 1
-    for t in techniques:
+    for i, t in enumerate(techniques):
         if t not in TECHNIQUES:
             print(f"error: unknown technique {t!r}", file=sys.stderr)
+            return 1
+        if t in techniques[:i]:
+            print(f"error: --technique names {t!r} more than once", file=sys.stderr)
             return 1
     model_kinds = ["lr", "gnb"] if args.model == "both" else [args.model]
     config = _explainer_config(args)

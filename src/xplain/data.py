@@ -188,6 +188,24 @@ class Dataset:
         slots += [(np.array(g.indices), g) for g in self.groups]
         return tuple(sorted(slots, key=lambda slot: slot[0].min()))
 
+    @cached_property
+    def slot_train_stats(self) -> tuple[float | np.ndarray, ...]:
+        """Per slot, in slots order, the training spread LIME samples from: a
+        numeric column's std (ddof=1; 0.0 with fewer than two training rows)
+        or a group's training category frequencies, normalized to sum to 1.
+        Computed once per dataset and shared, so the arrays are read-only."""
+        stats: list[float | np.ndarray] = []
+        for cols, group in self.slots:
+            if group is None:
+                col = self.X_train[:, cols[0]]
+                stats.append(float(col.std(ddof=1)) if len(col) > 1 else 0.0)
+            else:
+                freqs = self.X_train[:, cols].mean(axis=0)
+                freqs = freqs / freqs.sum()
+                freqs.flags.writeable = False
+                stats.append(freqs)
+        return tuple(stats)
+
 
 @dataclass(frozen=True)
 class PreprocessSpec:

@@ -124,17 +124,13 @@ def explain_lime(
 
     Z = np.tile(x, (S, 1))
     d2 = np.zeros(S)
-    for cols, group in dataset.slots:
+    for (cols, group), stat in zip(dataset.slots, dataset.slot_train_stats):
         if group is None:
-            j = cols[0]
-            col = dataset.X_train[:, j]
-            std = float(col.std(ddof=1)) if len(col) > 1 else 0.0
+            j, std = cols[0], stat
             Z[:, j] = rng.normal(x[j], std, S) if std > 0 else x[j]
             d2 += ((Z[:, j] - x[j]) / (std if std > 0 else 1.0)) ** 2
         else:
-            freqs = dataset.X_train[:, cols].mean(axis=0)
-            freqs = freqs / freqs.sum()
-            cats = rng.choice(len(cols), size=S, p=freqs)
+            cats = rng.choice(len(cols), size=S, p=stat)
             Z[:, cols] = 0.0
             Z[np.arange(S), cols[cats]] = 1.0
             d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
@@ -179,23 +175,25 @@ def _coalition_values(f, masks: np.ndarray, x: np.ndarray, background: np.ndarra
     return values
 
 
-def _solve_constrained_wls(
-    masks: np.ndarray,
-    values: np.ndarray,
-    weights: np.ndarray,
-    base: float,
-    fx: float,
-) -> np.ndarray:
-    """Weighted least squares over proper coalitions with phi_0 + sum(phi) =
-    f(x) enforced by eliminating the last coefficient. The empty and full
-    coalitions would only add 0 = 0 rows after the elimination, so callers
-    pass neither; with no rows at all the last coefficient takes f(x) - base.
+def _wls_design(masks: np.ndarray, weights: np.ndarray):
+    """The parts of the constrained weighted least squares that depend only on
+    the coalitions: (last, Aw, gram). The constraint phi_0 + sum(phi) = f(x)
+    eliminates the last coefficient, so each row's design is its first n - 1
+    mask bits minus its last bit (`last`); Aw is that design scaled by the
+    kernel weights and gram = Aw.T @ design. The empty and full coalitions
+    would only add 0 = 0 rows after the elimination, so callers pass neither.
     """
     M = masks.astype(float)
-    y = values - base - M[:, -1] * (fx - base)
     A = M[:, :-1] - M[:, -1:]
     Aw = A * weights[:, None]
-    gram = Aw.T @ A
+    return M[:, -1].copy(), Aw, Aw.T @ A
+
+
+def _solve_constrained_wls(design, values: np.ndarray, base: float, fx: float) -> np.ndarray:
+    """phi for coalition values under a _wls_design; with no rows at all the
+    last coefficient takes f(x) - base."""
+    last, Aw, gram = design
+    y = values - base - last * (fx - base)
     rhs = Aw.T @ y
     try:
         beta = np.linalg.solve(gram, rhs)
@@ -218,6 +216,18 @@ def _exact_coalitions(n: int):
     masks.flags.writeable = False
     weights.flags.writeable = False
     return masks, weights
+
+
+@lru_cache(maxsize=EXACT_SHAP_LIMIT)
+def _exact_design(n: int):
+    """_wls_design of _exact_coalitions(n), built once per n (under 2 MB for
+    every n up to EXACT_SHAP_LIMIT together) and shared, so read-only. A
+    cached projection P with phi = P @ y would sum in another order and
+    change the last bits of phi; this form leaves them as a per-call build."""
+    design = _wls_design(*_exact_coalitions(n))
+    for array in design:
+        array.flags.writeable = False
+    return design
 
 
 def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
@@ -286,14 +296,16 @@ def explain_shap(
     base = float(f(background).mean())
     fx = float(f(x[None, :])[0])
 
-    if n <= EXACT_SHAP_LIMIT:
+    exact = n <= EXACT_SHAP_LIMIT
+    if exact:
         masks, weights = _exact_coalitions(n)
         sample_count = 2**n
     else:
         masks, weights = _sample_coalitions(n, cfg.samples, rng)
         sample_count = 2 + int(weights.sum())
     values = _coalition_values(f, masks, x, background)
-    phi = _solve_constrained_wls(masks, values, weights, base, fx)
+    design = _exact_design(n) if exact else _wls_design(masks, weights)
+    phi = _solve_constrained_wls(design, values, base, fx)
 
     return Explanation(phi=phi, sample_count=sample_count, base_value=base)
 

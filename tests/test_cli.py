@@ -270,6 +270,7 @@ def bad_configs(tmp_path):
     ["explain", "--dataset", "BAD/csv_is_dir.json", "--model", "gnb",
      "--technique", "lpi", "--index", "0"],
     ["evaluate", "--dataset", "BAD/csv_is_dir.json", "--model", "gnb"],
+    ["evaluate", "--dataset", "IRIS", "--technique", "lime,lime,lpi"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -287,6 +288,7 @@ def bad_configs(tmp_path):
     "train-config-is-a-directory", "explain-config-is-a-directory",
     "evaluate-config-is-a-directory", "train-csv-is-a-directory",
     "explain-csv-is-a-directory", "evaluate-csv-is-a-directory",
+    "evaluate-repeated-technique",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
@@ -304,8 +306,9 @@ def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     (["--technique", ","], None),
     ([], "abc"),
     (["--seed", "-1"], None),
+    (["--technique", "lime, shap,lime"], None),
 ], ids=["lime-samples-0", "unknown-technique", "empty-technique-list", "bad-thread-count",
-        "negative-seed"])
+        "negative-seed", "repeated-technique"])
 def test_rejected_evaluate_creates_no_out_dir(argv, threads, tmp_path, monkeypatch):
     if threads is not None:
         monkeypatch.setenv("XPLAIN_THREADS", threads)

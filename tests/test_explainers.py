@@ -23,7 +23,7 @@ from xplain.models import (
     train_gnb,
 )
 
-from conftest import linear_handle, numeric_dataset
+from conftest import DATASETS_DIR, linear_handle, numeric_dataset
 
 
 def unit_std_dataset(n=6, m=500, seed=0):
@@ -52,6 +52,38 @@ def categorical_dataset(seed=0, m=80):
         y_test=np.array([i % 2 for i in range(10)]),
     )
     return data.encode_onehot(parts)
+
+
+def _reference_lime(model, x, dataset, samples, seed):
+    """explain_lime with the training std and category frequencies recomputed
+    from X_train on every call, as before they were stored on the dataset."""
+    n = dataset.n_features
+    S = samples
+    kernel_width = 0.75 * math.sqrt(n)
+    rng = np.random.default_rng([1, seed])
+    Z = np.tile(x, (S, 1))
+    d2 = np.zeros(S)
+    for cols, group in dataset.slots:
+        if group is None:
+            j = cols[0]
+            col = dataset.X_train[:, j]
+            std = float(col.std(ddof=1)) if len(col) > 1 else 0.0
+            Z[:, j] = rng.normal(x[j], std, S) if std > 0 else x[j]
+            d2 += ((Z[:, j] - x[j]) / (std if std > 0 else 1.0)) ** 2
+        else:
+            freqs = dataset.X_train[:, cols].mean(axis=0)
+            freqs = freqs / freqs.sum()
+            cats = rng.choice(len(cols), size=S, p=freqs)
+            Z[:, cols] = 0.0
+            Z[np.arange(S), cols[cats]] = 1.0
+            d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
+    weights = np.exp(-d2 / kernel_width**2)
+    y = predict_logodds(model, Z)
+    A = np.column_stack([np.ones(S), Z])
+    Aw = A * weights[:, None]
+    penal = np.eye(n + 1)
+    penal[0, 0] = 0.0
+    return np.linalg.solve(Aw.T @ A + penal, Aw.T @ y)[1:]
 
 
 class TestLime:
@@ -87,6 +119,39 @@ class TestLime:
         e = explain_lime(gnb, ds.X_test[0], ds, seed=4)
         assert np.all(np.isfinite(e.phi))
         assert len(e.phi) == ds.n_features
+
+    def test_stored_train_stats_match_per_call_reference(self):
+        iris = data.load_dataset(data.DatasetConfig.from_json(
+            DATASETS_DIR / "iris_binary.json"))
+        for ds in (iris, categorical_dataset()):
+            gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+            cfg = ExplainerConfig(lime=LimeConfig(samples=400))
+            for i in range(3):
+                e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
+                ref = _reference_lime(gnb, ds.X_test[i], ds, 400, seed=i)
+                assert np.array_equal(e.phi, ref), (ds.name, i)
+        stats = categorical_dataset().slot_train_stats
+        assert [np.ndim(s) for s in stats] == [0, 1, 0]
+        assert stats[1].sum() == pytest.approx(1.0) and not stats[1].flags.writeable
+
+    def test_train_stats_follow_preprocessed_matrix(self):
+        raw = categorical_dataset()
+        raw_std = raw.slot_train_stats[0]  # fills the raw dataset's cache first
+        std, _ = data.preprocess_dataset(raw, "standardize")
+        assert std.slot_train_stats is not raw.slot_train_stats
+        assert std.slot_train_stats[0] == float(std.X_train[:, 0].std(ddof=1))
+        assert std.slot_train_stats[0] == pytest.approx(1.0)
+        assert raw_std != pytest.approx(1.0)
+        assert np.array_equal(std.slot_train_stats[1], raw.slot_train_stats[1])
+
+    def test_one_training_row_keeps_numeric_columns_fixed(self):
+        X = np.array([[0.5, -1.0, 2.0]])
+        ds = numeric_dataset(X, X_test=X + 1.0, y_train=[1], y_test=[0])
+        assert ds.slot_train_stats == (0.0, 0.0, 0.0)
+        handle = linear_handle([1.0, 2.0, -1.0])
+        e = explain_lime(handle, ds.X_test[0], ds, seed=3)
+        assert np.max(np.abs(e.phi)) < 1e-9  # every perturbation is x itself
+        assert np.array_equal(e.phi, _reference_lime(handle, ds.X_test[0], ds, 5000, seed=3))
 
     def test_degenerate_weights_error(self):
         ds = unit_std_dataset(seed=3)
@@ -182,6 +247,29 @@ class TestShap:
         assert np.array_equal(a.phi, b.phi)
 
 
+    @pytest.mark.parametrize("samples", [1, 3])
+    def test_singular_design_falls_back_to_lstsq(self, samples, monkeypatch):
+        # 1 draw values no coalition and 3 draws value one complement pair, so
+        # the 15 x 15 gram is singular and the solve takes its lstsq branch
+        rng = np.random.default_rng(samples)
+        X = rng.normal(0, 1, (60, 16))
+        ds = numeric_dataset(X)
+        handle = linear_handle(rng.normal(0, 1, 16), 0.2)
+        lstsq, calls = np.linalg.lstsq, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        cfg = ExplainerConfig(shap=ShapConfig(samples=samples))
+        e = explain_shap(handle, X[0], ds, cfg, seed=1)
+        assert calls == [(15, 15)]
+        assert np.all(np.isfinite(e.phi))
+        fx = predict_logodds(handle, X[:1])[0]
+        assert abs(e.base_value + e.phi.sum() - fx) < 1e-9
+
+
 def _reference_exact_coalitions(n):
     """All 2^n coalitions, empty and full included with weight 0 (the
     generator KernelSHAP used before it returned proper coalitions only)."""
@@ -191,6 +279,22 @@ def _reference_exact_coalitions(n):
     for s in range(1, n):
         by_size[s] = (n - 1) / (math.comb(n, s) * s * (n - s))
     return masks, by_size[masks.sum(axis=1)]
+
+
+def _reference_solve_constrained_wls(masks, values, weights, base, fx):
+    """The constrained solve as it was before its design was split out and
+    cached: everything rebuilt from the masks on every call."""
+    M = masks.astype(float)
+    y = values - base - M[:, -1] * (fx - base)
+    A = M[:, :-1] - M[:, -1:]
+    Aw = A * weights[:, None]
+    gram = Aw.T @ A
+    rhs = Aw.T @ y
+    try:
+        beta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    return np.append(beta, (fx - base) - beta.sum())
 
 
 def _reference_sample_coalitions(n, samples, rng):
@@ -251,6 +355,22 @@ class TestCoalitionGenerators:
             for array in (masks, weights):
                 with pytest.raises(ValueError):
                     array[...] = 0
+        rng = np.random.default_rng(0)
+        for n in range(2, 14):
+            masks, weights = explainers._exact_coalitions(n)
+            design = explainers._exact_design(n)
+            again = explainers._exact_design(n)
+            assert len(again) == len(design) == 3
+            assert all(a is b for a, b in zip(again, design)), n
+            for array in design:
+                with pytest.raises(ValueError):
+                    array[...] = 0
+            for _ in range(5):
+                values = rng.normal(0, 2, len(masks))
+                base, fx = rng.normal(0, 2, 2)
+                phi = explainers._solve_constrained_wls(design, values, base, fx)
+                ref = _reference_solve_constrained_wls(masks, values, weights, base, fx)
+                assert np.array_equal(phi, ref), n
 
     def test_sampled_matches_reference_without_empty_and_full(self):
         for n in (2, 3, 14, 19, 30):
