@@ -86,7 +86,8 @@ class DatasetConfig:
         return DatasetConfig(
             csv_path=csv_path,
             target_column=value("target_column", is_str, "a string"),
-            positive_label=str(raw["positive_label"]),
+            positive_label=str(value("positive_label", lambda v: isinstance(v, (str, int)),
+                                     "a string or an integer")),
             categorical_columns=None if cats is None else tuple(cats),
             test_fraction=float(
                 value("test_fraction", lambda v: isinstance(v, (int, float)), "a number", 0.25)

@@ -236,19 +236,19 @@ def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
     first two of the `samples` draws but are not returned. Distinct masks
     come back in first-draw order, with their draw counts as weights.
 
-    A size is drawn by inverse CDF from one rng.random() call, the draw
-    Generator.choice(sizes, p=p) makes, without its per-call checks."""
+    Every draw is made in one vectorised pass: first all sizes, by inverse
+    CDF from one rng.random() value each, then one row of n uniform keys per
+    draw, whose s smallest keys name its members (a uniform s-subset)."""
     sizes = np.arange(1, n)
     p = (n - 1) / (sizes * (n - sizes))
     p = p / p.sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
     pairs = max(0, (samples - 1) // 2)
-    draws = np.zeros((2 * pairs, n), dtype=bool)
-    for i in range(pairs):
-        s = int(sizes[cdf.searchsorted(rng.random(), side="right")])
-        members = rng.choice(n, size=s, replace=False)
-        draws[2 * i, members] = True
+    s = sizes[cdf.searchsorted(rng.random(pairs), side="right")]
+    u = rng.random((pairs, n))
+    draws = np.empty((2 * pairs, n), dtype=bool)
+    draws[0::2] = u.argsort(axis=1).argsort(axis=1) < s[:, None]
     draws[1::2] = ~draws[0::2]
     # one opaque key per row: its packed bits
     packed = np.packbits(draws, axis=1)

@@ -196,6 +196,10 @@ def bad_configs(tmp_path):
         ("cats_int", "categorical_columns", 5),
         ("cats_str", "categorical_columns", "species"),
         ("csv_is_dir", "csv_path", "."),
+        ("label_bool", "positive_label", True),
+        ("label_null", "positive_label", None),
+        ("label_float", "positive_label", 1.0),
+        ("label_list", "positive_label", [1]),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**iris, key: value}))
     header, first, *rest = (DATASETS_DIR / "iris_binary.csv").read_text().splitlines()
@@ -271,6 +275,11 @@ def bad_configs(tmp_path):
      "--technique", "lpi", "--index", "0"],
     ["evaluate", "--dataset", "BAD/csv_is_dir.json", "--model", "gnb"],
     ["evaluate", "--dataset", "IRIS", "--technique", "lime,lime,lpi"],
+    ["train", "--dataset", "BAD/label_bool.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/label_null.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
+    ["evaluate", "--dataset", "BAD/label_float.json", "--model", "gnb"],
+    ["train", "--dataset", "BAD/label_list.json", "--model", "gnb"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -288,7 +297,9 @@ def bad_configs(tmp_path):
     "train-config-is-a-directory", "explain-config-is-a-directory",
     "evaluate-config-is-a-directory", "train-csv-is-a-directory",
     "explain-csv-is-a-directory", "evaluate-csv-is-a-directory",
-    "evaluate-repeated-technique",
+    "evaluate-repeated-technique", "train-bool-positive-label",
+    "explain-null-positive-label", "evaluate-float-positive-label",
+    "train-list-positive-label",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))

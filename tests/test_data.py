@@ -383,6 +383,29 @@ class TestConfig:
         assert cfg.test_fraction == 0.25
         assert cfg.name == "d"
 
+    def test_integer_positive_label_reads_as_text(self, csv_dir):
+        csv_path = write_csv(csv_dir / "d.csv", "a,label", ["1,1", "2,0"])
+        cfg_path = csv_dir / "d.json"
+        cfg_path.write_text(json.dumps({
+            "csv_path": "d.csv", "target_column": "label", "positive_label": 1,
+        }))
+        cfg = data.DatasetConfig.from_json(cfg_path)
+        assert cfg.positive_label == "1"
+        assert list(data.load_csv(csv_path, cfg).labels) == [1, 0]
+
+    @pytest.mark.parametrize("label", [True, None, 1.0, [1]],
+                             ids=["bool", "null", "float", "list"])
+    def test_positive_label_type_checked(self, csv_dir, label):
+        write_csv(csv_dir / "d.csv", "a,label", ["1,1", "2,0"])
+        cfg_path = csv_dir / "d.json"
+        cfg_path.write_text(json.dumps({
+            "csv_path": "d.csv", "target_column": "label", "positive_label": label,
+        }))
+        with pytest.raises(InvalidConfigError) as info:
+            data.DatasetConfig.from_json(cfg_path)
+        assert str(info.value) == (
+            f"{cfg_path}: 'positive_label' must be a string or an integer, got {label!r}")
+
 
 def test_make_datasets_reproduces_bundled_files(tmp_path, monkeypatch):
     """tools/make_datasets.py, which runs the data layer to calibrate banknote,

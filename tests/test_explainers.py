@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import numpy as np
@@ -21,9 +22,10 @@ from xplain.models import (
     predict_logodds,
     predict_proba,
     train_gnb,
+    train_logistic,
 )
 
-from conftest import DATASETS_DIR, linear_handle, numeric_dataset
+from conftest import DATASETS_DIR, SRC_DIR, linear_handle, numeric_dataset
 
 
 def unit_std_dataset(n=6, m=500, seed=0):
@@ -298,8 +300,11 @@ def _reference_solve_constrained_wls(masks, values, weights, base, fx):
 
 
 def _reference_sample_coalitions(n, samples, rng):
-    """Earlier sampler: empty and full first, then complement pairs, with
-    duplicates counted in a dict keyed on the packed mask bytes."""
+    """Per-draw sampler: empty and full first, then complement pairs, with
+    duplicates counted in a dict keyed on the packed mask bytes. Every pair's
+    size comes first, one scalar rng.random() each (through
+    Generator.choice with p); then each draw's members are the s smallest of
+    its own rng.random(n) keys."""
     sizes = np.arange(1, n)
     p = (n - 1) / (sizes * (n - sizes))
     p = p / p.sum()
@@ -316,15 +321,14 @@ def _reference_sample_coalitions(n, samples, rng):
     empty = np.zeros(n, dtype=bool)
     add(empty)
     add(~empty)
-    drawn = 2
-    while drawn < samples:
-        s = int(rng.choice(sizes, p=p))
-        members = rng.choice(n, size=s, replace=False)
+    pairs = max(0, (samples - 1) // 2)
+    drawn_sizes = [int(rng.choice(sizes, p=p)) for _ in range(pairs)]
+    for s in drawn_sizes:
+        members = np.argsort(rng.random(n))[:s]
         mask = np.zeros(n, dtype=bool)
         mask[members] = True
         add(mask)
         add(~mask)
-        drawn += 2
     masks = np.array(
         [np.unpackbits(np.frombuffer(k, dtype=np.uint8), count=n).astype(bool) for k in order]
     )
@@ -401,6 +405,28 @@ class TestCoalitionGenerators:
                     assert np.array_equal(masks, ref_masks[2:]), case
                     assert np.array_equal(weights, ref_weights[2:]), case
 
+    def test_sampled_follows_shapley_kernel(self):
+        n, samples = 19, 100_001
+        masks, weights = explainers._sample_coalitions(n, samples, np.random.default_rng(5))
+        pairs = (samples - 1) // 2
+        assert weights.sum() == 2 * pairs
+        sizes = masks.sum(axis=1)
+        assert sizes.min() >= 1 and sizes.max() <= n - 1
+        kernel = np.array([(n - 1) / (s * (n - s)) for s in range(1, n)])
+        kernel /= kernel.sum()
+        drawn = np.array([weights[sizes == s].sum() for s in range(1, n)])
+        assert np.max(np.abs(drawn / drawn.sum() - kernel)) < 0.005
+        # within a size every feature is a member with probability s / n
+        for s in range(1, n):
+            of_size = sizes == s
+            inclusion = weights[of_size] @ masks[of_size] / drawn[s - 1]
+            spread = math.sqrt(s / n * (1 - s / n) / drawn[s - 1])
+            assert np.max(np.abs(inclusion - s / n)) < 6 * spread, s
+        # a draw and its complement are counted together
+        weight_of = {m.tobytes(): w for m, w in zip(masks, weights)}
+        for m, w in zip(masks, weights):
+            assert weight_of[(~m).tobytes()] == w
+
 
 class TestCoalitionValues:
     """_coalition_values scores coalitions in blocks of whole coalitions;
@@ -472,6 +498,31 @@ class TestGnbAdditiveOracle:
         e = explain_lpi(handle, x, ds, seed=2)
         assert e.sample_count == ds.X_train.shape[0]
         assert np.max(np.abs(e.phi - closed)) < 1e-9
+
+
+def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
+    """LR and GNB are additive in log-odds, so sampled SHAP over the whole
+    training split returns lam_j(x) - mean_train lam_j for any full-rank set
+    of coalitions, whichever draws the sampler makes. This is why a change
+    of the sampler's random stream leaves the wide-mixed reports unchanged."""
+    spec = importlib.util.spec_from_file_location(
+        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
+    widemixed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widemixed)
+    config = data.DatasetConfig.from_json(widemixed.generate(1, tmp_path))
+    ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+    n, m = ds.n_features, ds.X_train.shape[0]
+    assert n > explainers.EXACT_SHAP_LIMIT
+    cfg = ExplainerConfig(shap=ShapConfig(samples=1300, background_size=m))
+    for handle in (ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=3)),
+                   ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))):
+        mean_lam = feature_terms(handle, ds.X_train)[1].mean(axis=0)
+        for i in range(4):
+            x = ds.X_test[i]
+            e = explain_shap(handle, x, ds, cfg, seed=i)
+            assert e.sample_count == 1300
+            closed = feature_terms(handle, x)[1] - mean_lam
+            assert np.max(np.abs(e.phi - closed)) < 1e-12, (handle.kind, i)
 
 
 class TestLpi:

@@ -225,6 +225,32 @@ class TestPredict:
                 assert isinstance(single, float)
                 assert single == expected[i]
 
+    def test_sigmoid_bit_identical_to_masked_form(self):
+        def masked(z):
+            out = np.empty_like(z, dtype=float)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 700.0, -700.0,
+                            745.0, -745.0, 1e-300, -1e-300])
+        rng = np.random.default_rng(4)
+        cases = [special, *(np.array(v) for v in special), np.array(rng.normal(0, 30))]
+        for size in (0, 1, 7, 4096):
+            z = rng.normal(0, 30, size)
+            z[:len(special)] = special[:size]
+            cases += [z, rng.permutation(z)]
+        for z in cases:
+            got = np.asarray(_sigmoid(z))
+            want = masked(z)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True), z
+            # beyond nan (whose sign bit may differ) the bits match too
+            num = ~np.isnan(want)
+            assert np.array_equal(got[num].view(np.int64), want[num].view(np.int64)), z
+
     def test_dimension_mismatch(self):
         handle = ModelHandle("lr", LogisticModel(np.zeros(3), 0.0, "l2", 0.0))
         with pytest.raises(DimensionMismatchError):
