@@ -19,6 +19,7 @@ from . import models as models_mod
 from .errors import IndexOutOfRangeError, XplainError
 from .evaluation import (
     DatasetScoreSet,
+    derive_seed,
     evaluate_dataset,
     rank_techniques,
     spearman,
@@ -320,7 +321,7 @@ def cmd_explain(args) -> int:
     else:
         explanation = explain(
             args.technique, args.target, handle, x, dataset,
-            _explainer_config(args), seed=args.seed,
+            _explainer_config(args), seed=derive_seed(args.seed, args.index),
         )
         phi = explanation.phi
         base_value = explanation.base_value

@@ -9,6 +9,7 @@ across datasets, to per-technique average ranks
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +22,11 @@ from .groundtruth import GroundTruth, ground_truth
 from .models import ModelHandle
 
 SIGNIFICANT_CORRELATION = 0.7
+
+# test instances per evaluate_instance job and explain() call: enough that
+# consecutive instances fill model calls of explainers._BLOCK_ROWS rows, and
+# fixed, so no result depends on the worker count
+INSTANCE_BLOCK = 64
 
 # medians are rounded to this many digits before tie comparison so that rank
 # ties are reproducible across platforms
@@ -115,21 +121,31 @@ def evaluate_instance(
     target_space: str,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
-    seed: int = 0,
-    instance_index: int | None = None,
-) -> tuple[GroundTruth, list[CorrelationScore]]:
-    """One instance's ground truth, extracted once, and one score per technique
-    (in order) correlating its explanation with it."""
-    gt = ground_truth(model, x)
-    scores = [
-        spearman(
-            explain(technique, target_space, model, x, dataset, config, seed).phi,
-            gt.lam,
-            instance_index=instance_index,
-        )
-        for technique in techniques
-    ]
-    return gt, scores
+    seed: int | Sequence[int] = 0,
+    instance_index: int | Sequence[int] | None = None,
+) -> tuple[GroundTruth | list[GroundTruth], list]:
+    """Ground truth, extracted once per instance, and one score per technique
+    (in order) correlating its explanation with it.
+
+    Like explain(), takes one instance (n,) with an int seed and index, giving
+    (GroundTruth, [score per technique]), or a block (k, n) with k seeds and k
+    indices, giving ([GroundTruth per instance], [[score per instance] per
+    technique]); each technique explains the whole block in one explain() call.
+    """
+    single = np.ndim(x) == 1
+    X = np.atleast_2d(x)
+    indices = [instance_index] if single else instance_index
+    if indices is None:
+        indices = [None] * len(X)
+    gts = [ground_truth(model, row) for row in X]
+    scores = []
+    for technique in techniques:
+        phi = explain(technique, target_space, model, x, dataset, config, seed).phi
+        scores.append([spearman(p, gt.lam, instance_index=k)
+                       for p, gt, k in zip(np.atleast_2d(phi), gts, indices)])
+    if single:
+        return gts[0], [s[0] for s in scores]
+    return gts, scores
 
 
 def summarize_scores(
@@ -167,33 +183,38 @@ def evaluate_dataset(
     seed: int = 0,
     workers: int = 1,
 ) -> list[DatasetScoreSet]:
-    """One job per test instance: its ground truth and every technique's score.
-    Instance k uses the seed derived from (seed, k), so results do not depend on
-    worker scheduling. Returns one score set per technique, in the order given."""
+    """One job per block of INSTANCE_BLOCK consecutive test instances: their
+    ground truths and every technique's scores. Instance k uses the seed
+    derived from (seed, k), so results depend neither on worker scheduling nor
+    on the block size. Returns one score set per technique, in the order given."""
     m = dataset.X_test.shape[0]
     if m == 0:
         raise ValueError(f"dataset {dataset.name!r} has an empty test split")
 
-    def one(k: int):
+    def block(start: int):
+        ks = range(start, min(start + INSTANCE_BLOCK, m))
         return evaluate_instance(
-            dataset.X_test[k],
+            dataset.X_test[ks.start : ks.stop],
             model,
             techniques,
             target_space,
             dataset,
             config,
-            seed=derive_seed(seed, k),
-            instance_index=k,
+            seed=[derive_seed(seed, k) for k in ks],
+            instance_index=list(ks),
         )
 
+    starts = range(0, m, INSTANCE_BLOCK)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(m)))
+            results = list(pool.map(block, starts))
     else:
-        results = [one(k) for k in range(m)]
-    ground_truths = tuple(gt for gt, _ in results)
+        results = [block(start) for start in starts]
+    ground_truths = tuple(gt for gts, _ in results for gt in gts)
     return [
-        summarize_scores(dataset.name, t, [s[i] for _, s in results], ground_truths)
+        summarize_scores(
+            dataset.name, t, [s for _, scores in results for s in scores[i]], ground_truths
+        )
         for i, t in enumerate(techniques)
     ]
 

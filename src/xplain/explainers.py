@@ -1,22 +1,32 @@
 """Local additive explanation techniques: LIME, KernelSHAP and LPI.
 
 All three share one entry point, explain(), which targets either the model's
-log-odds or its class-1 probability. Each call's randomness derives solely
-from its seed argument, so results are reproducible and schedule-independent.
-One-hot groups are always perturbed atomically (per-column bit flips would
-produce impossible encodings).
+log-odds or its class-1 probability. Like predict_logodds, every explainer
+takes one instance x of shape (n,) with an int seed, or a block X of shape
+(k, n) with k seeds. Each instance's randomness derives solely from its own
+seed, so results are reproducible and schedule-independent, and explaining a
+block gives exactly the stacked single-instance explanations. One-hot groups
+are always perturbed atomically (per-column bit flips would produce
+impossible encodings).
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DegenerateWeightsError, InvalidConfigError, UnknownTechniqueError
+from .errors import (
+    DegenerateWeightsError,
+    DimensionMismatchError,
+    InvalidConfigError,
+    UnknownTechniqueError,
+)
 from .models import ModelHandle, predict_logodds, predict_proba
 
 LIME = "lime"
@@ -31,8 +41,9 @@ TARGET_SPACES = (LOGODDS, PROBABILITY)
 # all 2^n coalitions are enumerated up to this dimension; sampling above it
 EXACT_SHAP_LIMIT = 13
 
-# rows per model call when valuing coalitions (see _coalition_values)
+# rows per model call, and the largest piece that shares a call (see _score_packed)
 _BLOCK_ROWS = 4096
+_PACK_ROWS = 256
 
 _RNG_TAG = {LIME: 1, SHAP: 2, LPI: 3}
 
@@ -78,24 +89,90 @@ class ExplainerConfig:
 
 @dataclass(frozen=True)
 class Explanation:
-    """Per-feature importance vector for one instance and one technique.
+    """Per-feature importance of one technique, shaped like the explained input:
+    phi is (n,) for one instance and (k, n) for a block of k.
 
-    sample_count is LIME's perturbation count, LPI's replacement rows per
-    slot, or the coalition count explain_shap documents; base_value is
-    KernelSHAP's background mean prediction and None for LIME and LPI.
+    sample_count is per explanation: LIME's perturbation count, LPI's
+    replacement rows per slot, or the coalition count explain_shap documents.
+    base_value is KernelSHAP's background mean prediction (a float, or one per
+    instance of a block, shape (k,)) and None for LIME and LPI.
     """
 
     phi: np.ndarray
     sample_count: int
-    base_value: float | None = None
+    base_value: float | np.ndarray | None = None
 
 
 def _target_fn(model: ModelHandle, target_space: str):
     if target_space == LOGODDS:
-        return lambda X: np.atleast_1d(predict_logodds(model, X))
+        return lambda X: predict_logodds(model, X)
     if target_space == PROBABILITY:
-        return lambda X: np.atleast_1d(predict_proba(model, X))
+        return lambda X: predict_proba(model, X)
     raise ValueError(f"unknown target space {target_space!r}")
+
+
+def _as_block(x, seed) -> tuple[np.ndarray, list]:
+    """(X, seeds): one instance (n,) with an int seed as a block of one, or a
+    non-empty block (k, n) with its k seeds."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim == 1 and np.ndim(seed) == 0:
+        return X[None, :], [seed]
+    if X.ndim == 2 and np.ndim(seed) == 1 and len(seed) == len(X) > 0:
+        return X, list(seed)
+    raise DimensionMismatchError(
+        f"expected one instance (n,) with an int seed or a block (k, n) with k >= 1 "
+        f"seeds, got shape {X.shape} with {np.size(seed)} seed(s)"
+    )
+
+
+def _shaped_like(x, phi: np.ndarray, sample_count: int, base=None) -> Explanation:
+    """The Explanation of a block, or of its one row when x was one instance."""
+    if np.ndim(x) == 1:
+        return Explanation(phi[0], sample_count, None if base is None else float(base[0]))
+    return Explanation(phi, sample_count, base)
+
+
+def _score_packed(f, pieces):
+    """f of each piece of rows (a 2-D array), yielded in the order given.
+
+    A piece of at most _PACK_ROWS rows costs less to score than a call's
+    fixed cost (12-17 us, about as much as scoring 300 rows), so consecutive
+    such pieces, of one instance or of several, share calls of at most
+    _BLOCK_ROWS rows. A larger piece is scored alone as soon as it is
+    drawn, while its rows are still in cache: a shared call saved it less
+    than holding it for the next piece and copying it into the call cost.
+    Packing pieces of up to 1,024 rows made the grid's LPI (576-1,029-row
+    pieces) 13 % slower and, with 2,000-row LIME pieces in pairs, raised
+    wide-mixed's peak RSS by 2.9 MB. Pieces are drawn only as a call fills,
+    so at most one call's rows, their concatenation and one more piece are
+    held at a time.
+
+    4,096 rows of 19 columns take about 620 KB, so a call's rows and the
+    scorer's temporary of the same size fit in a 2 MB per-core L2 cache;
+    calls of 2,048-8,192 rows timed about level and fastest, while
+    262,144-row calls (about 40 MB at 19 columns) were up to twice as slow.
+    Every row is scored alone, so packing changes no value.
+    """
+    batch: list[np.ndarray] = []
+    rows = 0
+    for piece in pieces:
+        alone = len(piece) > _PACK_ROWS
+        if batch and (alone or rows + len(piece) > _BLOCK_ROWS):
+            scored = _score_call(f, batch)
+            batch, rows = [], 0
+            yield from scored
+        if alone:
+            yield f(piece)
+        else:
+            batch.append(piece)
+            rows += len(piece)
+    if batch:
+        yield from _score_call(f, batch)
+
+
+def _score_call(f, batch: list[np.ndarray]) -> list[np.ndarray]:
+    """One model call over the pieces in batch, split back per piece."""
+    return np.split(f(np.concatenate(batch)), np.cumsum([len(p) for p in batch[:-1]]))
 
 
 def explain_lime(
@@ -103,7 +180,7 @@ def explain_lime(
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     target_space: str = LOGODDS,
 ) -> Explanation:
     """Local ridge surrogate fitted to kernel-weighted perturbations.
@@ -113,65 +190,77 @@ def explain_lime(
     Perturbations are weighted by exp(-d^2 / kernel_width^2) where d is the
     Euclidean distance over train-std-scaled numeric coordinates plus a
     mismatch indicator per categorical group. No discretization is applied,
-    and all n coefficients are returned.
+    and all n coefficients are returned. Each instance of a block has its own
+    perturbations and ridge solve; only the model calls are shared.
     """
     cfg = (config or ExplainerConfig()).lime
-    x = np.asarray(x, dtype=float)
+    X, seeds = _as_block(x, seed)
     n = dataset.n_features
     S = cfg.samples
     kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * math.sqrt(n)
-    rng = np.random.default_rng([_RNG_TAG[LIME], seed])
+    # (Z, weights) per instance, queued by perturbations() before Z is scored
+    pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
 
-    Z = np.tile(x, (S, 1))
-    d2 = np.zeros(S)
-    for (cols, group), stat in zip(dataset.slots, dataset.slot_train_stats):
-        if group is None:
-            j, std = cols[0], stat
-            Z[:, j] = rng.normal(x[j], std, S) if std > 0 else x[j]
-            d2 += ((Z[:, j] - x[j]) / (std if std > 0 else 1.0)) ** 2
-        else:
-            cats = rng.choice(len(cols), size=S, p=stat)
-            Z[:, cols] = 0.0
-            Z[np.arange(S), cols[cats]] = 1.0
-            d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
+    def perturbations():
+        for x, seed in zip(X, seeds):
+            rng = np.random.default_rng([_RNG_TAG[LIME], seed])
+            Z = np.tile(x, (S, 1))
+            d2 = np.zeros(S)
+            for (cols, group), stat in zip(dataset.slots, dataset.slot_train_stats):
+                if group is None:
+                    j, std = cols[0], stat
+                    Z[:, j] = rng.normal(x[j], std, S) if std > 0 else x[j]
+                    d2 += ((Z[:, j] - x[j]) / (std if std > 0 else 1.0)) ** 2
+                else:
+                    cats = rng.choice(len(cols), size=S, p=stat)
+                    Z[:, cols] = 0.0
+                    Z[np.arange(S), cols[cats]] = 1.0
+                    d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
 
-    with np.errstate(divide="ignore"):
-        weights = np.exp(-d2 / kernel_width**2)
-    if np.max(weights) < 1e-30:
-        raise DegenerateWeightsError("all perturbation weights are numerically zero")
+            with np.errstate(divide="ignore"):
+                weights = np.exp(-d2 / kernel_width**2)
+            if np.max(weights) < 1e-30:
+                raise DegenerateWeightsError("all perturbation weights are numerically zero")
+            pending.append((Z, weights))
+            yield Z
 
-    f = _target_fn(model, target_space)
-    y = f(Z)
+    phi = np.empty((len(X), n))
+    for i, y in enumerate(_score_packed(_target_fn(model, target_space), perturbations())):
+        phi[i] = _weighted_ridge(*pending.popleft(), y)
+    return _shaped_like(x, phi, S)
 
-    # weighted ridge, strength 1, with unpenalized intercept
-    A = np.column_stack([np.ones(S), Z])
+
+def _weighted_ridge(Z: np.ndarray, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """LIME's surrogate coefficients: weighted ridge of y on Z, strength 1,
+    with an unpenalized intercept (dropped from the result). Its (S, n + 1)
+    temporaries are freed on return, before the next instance is drawn."""
+    A = np.column_stack([np.ones(len(Z)), Z])
     Aw = A * weights[:, None]
     gram = Aw.T @ A
-    penal = np.eye(n + 1)
+    penal = np.eye(A.shape[1])
     penal[0, 0] = 0.0
-    beta = np.linalg.solve(gram + penal, Aw.T @ y)
-    return Explanation(phi=beta[1:], sample_count=S)
+    return np.linalg.solve(gram + penal, Aw.T @ y)[1:]
 
 
-def _coalition_values(f, masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """v(S) = mean over background rows of f(x on S, background off S).
-
-    Each model call scores whole coalitions, at most _BLOCK_ROWS rows (one
-    coalition when B is larger). 4,096 rows of 19 columns take about 620 KB,
-    so a block and the scorer's temporary of the same size fit in a 2 MB
-    per-core L2 cache. On exact and sampled designs, blocks of 2,048-8,192
-    rows timed about level and fastest; 262,144-row batches (about 40 MB
-    each at 19 columns) were up to twice as slow. Every row is scored
-    alone, so blocking changes no value.
-    """
-    B = background.shape[0]
-    values = np.empty(len(masks))
-    chunk = max(1, _BLOCK_ROWS // B)
+def _coalition_rows(masks: np.ndarray, x: np.ndarray, background: np.ndarray):
+    """The rows valuing each coalition: x on S, background rows off S. They
+    come in pieces of whole coalitions, at most _BLOCK_ROWS rows each (one
+    coalition when the background has more rows)."""
+    chunk = max(1, _BLOCK_ROWS // background.shape[0])
     for start in range(0, len(masks), chunk):
-        mk = masks[start : start + chunk]
-        Z = np.where(mk[:, None, :], x, background[None, :, :])
-        out = f(Z.reshape(-1, x.shape[0]))
-        values[start : start + chunk] = out.reshape(len(mk), B).mean(axis=1)
+        Z = np.where(masks[start : start + chunk, None, :], x, background[None, :, :])
+        yield Z.reshape(-1, x.shape[0])
+
+
+def _coalition_values(scores, count: int, B: int) -> np.ndarray:
+    """v(S) = mean over the B background rows of f(x on S, background off S),
+    for `count` coalitions, read from the scores of _coalition_rows' pieces."""
+    values = np.empty(count)
+    start = 0
+    while start < count:
+        out = next(scores).reshape(-1, B)
+        values[start : start + len(out)] = out.mean(axis=1)
+        start += len(out)
     return values
 
 
@@ -263,7 +352,7 @@ def explain_shap(
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     target_space: str = LOGODDS,
 ) -> Explanation:
     """KernelSHAP against a seeded background sample of training rows.
@@ -276,38 +365,53 @@ def explain_shap(
     masks among the Shapley-kernel draws (sample_count = number of draws,
     empty and full counted as the first two). Attributions solve the
     kernel-weighted least squares under that constraint. With n = 1 there is
-    no proper coalition and phi = f(x) - base_value.
+    no proper coalition and phi = f(x) - base_value. Each instance of a block
+    has its own background sample, coalitions and solve; only the model
+    calls are shared.
     """
     cfg = (config or ExplainerConfig()).shap
-    x = np.asarray(x, dtype=float)
+    X, seeds = _as_block(x, seed)
     n = dataset.n_features
     if n < 1:
         raise ValueError("model must have at least one feature")
     m = dataset.X_train.shape[0]
     if m == 0:
         raise ValueError("empty background: training split has no rows")
-    rng = np.random.default_rng([_RNG_TAG[SHAP], seed])
-    if m > cfg.background_size:
-        background = dataset.X_train[rng.choice(m, cfg.background_size, replace=False)]
-    else:
-        background = dataset.X_train
-
-    f = _target_fn(model, target_space)
-    base = float(f(background).mean())
-    fx = float(f(x[None, :])[0])
-
+    B = min(m, cfg.background_size)
     exact = n <= EXACT_SHAP_LIMIT
-    if exact:
-        masks, weights = _exact_coalitions(n)
-        sample_count = 2**n
-    else:
-        masks, weights = _sample_coalitions(n, cfg.samples, rng)
-        sample_count = 2 + int(weights.sum())
-    values = _coalition_values(f, masks, x, background)
-    design = _exact_design(n) if exact else _wls_design(masks, weights)
-    phi = _solve_constrained_wls(design, values, base, fx)
+    # (masks, weights) per instance, queued by rows() before its rows are scored
+    pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
 
-    return Explanation(phi=phi, sample_count=sample_count, base_value=base)
+    def rows():
+        for x, seed in zip(X, seeds):
+            rng = np.random.default_rng([_RNG_TAG[SHAP], seed])
+            if m > B:
+                background = dataset.X_train[rng.choice(m, B, replace=False)]
+            else:
+                background = dataset.X_train
+            if exact:
+                masks, weights = _exact_coalitions(n)
+            else:
+                masks, weights = _sample_coalitions(n, cfg.samples, rng)
+            pending.append((masks, weights))
+            yield background
+            yield x[None, :]
+            yield from _coalition_rows(masks, x, background)
+
+    scores = _score_packed(_target_fn(model, target_space), rows())
+    phi = np.empty((len(X), n))
+    base = np.empty(len(X))
+    for i in range(len(X)):
+        base[i] = next(scores).mean()
+        fx = float(next(scores)[0])
+        masks, weights = pending.popleft()
+        values = _coalition_values(scores, len(masks), B)
+        design = _exact_design(n) if exact else _wls_design(masks, weights)
+        phi[i] = _solve_constrained_wls(design, values, float(base[i]), fx)
+        del values, design  # freed before the next instance's rows are drawn
+    # every instance makes the same number of draws
+    sample_count = 2**n if exact else 2 + int(weights.sum())
+    return _shaped_like(x, phi, sample_count, base)
 
 
 def explain_lpi(
@@ -315,7 +419,7 @@ def explain_lpi(
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
     target_space: str = LOGODDS,
 ) -> Explanation:
     """Local permutation importance in the chosen target space.
@@ -327,30 +431,35 @@ def explain_lpi(
     absolute flag switches to mean |f(x) - f(...)|.
     """
     cfg = (config or ExplainerConfig()).lpi
-    x = np.asarray(x, dtype=float)
+    X, seeds = _as_block(x, seed)
     n = dataset.n_features
     m = dataset.X_train.shape[0]
     if m == 0:
         raise ValueError("training split has no rows")
     S = cfg.samples if cfg.samples is not None else m
-    rng = np.random.default_rng([_RNG_TAG[LPI], seed])
 
-    f = _target_fn(model, target_space)
-    fx = float(f(x[None, :])[0])
-    phi = np.zeros(n)
+    def rows():
+        for x, seed in zip(X, seeds):
+            rng = np.random.default_rng([_RNG_TAG[LPI], seed])
+            yield x[None, :]
+            X_rep = np.tile(x, (S, 1))
+            for cols, _ in dataset.slots:
+                order = rng.permutation(m)
+                picks = order[:S] if S <= m else np.resize(order, S)
+                Z = X_rep.copy()
+                Z[:, cols] = dataset.X_train.take(cols, axis=1).take(picks, axis=0)
+                yield Z
 
     def score(diffs: np.ndarray) -> float:
         return float(np.mean(np.abs(diffs) if cfg.absolute else diffs))
 
-    X_rep = np.tile(x, (S, 1))
-    for cols, _ in dataset.slots:
-        order = rng.permutation(m)
-        rows = order[:S] if S <= m else np.resize(order, S)
-        X_rep[:, cols] = dataset.X_train.take(cols, axis=1).take(rows, axis=0)
-        phi[cols] = score(fx - f(X_rep))
-        X_rep[:, cols] = x[cols]  # back to x for the next slot
-
-    return Explanation(phi=phi, sample_count=S)
+    scores = _score_packed(_target_fn(model, target_space), rows())
+    phi = np.zeros((len(X), n))
+    for i in range(len(X)):
+        fx = float(next(scores)[0])
+        for cols, _ in dataset.slots:
+            phi[i, cols] = score(fx - next(scores))
+    return _shaped_like(x, phi, S)
 
 
 _DISPATCH = {LIME: explain_lime, SHAP: explain_shap, LPI: explain_lpi}
@@ -363,9 +472,13 @@ def explain(
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
-    seed: int = 0,
+    seed: int | Sequence[int] = 0,
 ) -> Explanation:
-    """Dispatch to the requested technique with f = log-odds or probability."""
+    """Dispatch to the requested technique with f = log-odds or probability.
+
+    x is one instance (n,) with an int seed, or a block (k, n) with one seed
+    per instance; a block's explanation has phi (k, n) and, for SHAP,
+    base_value (k,), each row equal to that instance's own explanation."""
     if technique not in _DISPATCH:
         raise UnknownTechniqueError(
             f"unknown technique {technique!r}; expected one of {TECHNIQUES}"

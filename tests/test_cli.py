@@ -361,6 +361,11 @@ def test_benchmark_tracer_installs(tmp_path):
     fits = [s[attrs] for s in spans if s[name] == "models.fit_logistic"]
     assert shap and all(a["coalitions"] == 2**4 for a in shap)  # exact, 4 features
     assert fits and all(a["iterations"] >= 1 for a in fits)
+    # every traced name stays on the evaluation path
+    explained = {s[attrs]["technique"] for s in spans if s[name] == "explainers.explain"}
+    assert explained == {"lime", "shap", "lpi"}
+    assert {"evaluation.evaluate_instance", "groundtruth.ground_truth",
+            "models.predict_logodds"} <= {s[name] for s in spans}
 
 
 def run_explain(extra):
@@ -376,6 +381,22 @@ def run_explain(extra):
 
 
 class TestExplain:
+    @pytest.mark.parametrize("technique", ["lime", "shap", "lpi"])
+    def test_reproduces_evaluate_scores(self, technique, evaluate_run, capsys):
+        """explain --index k uses the seed evaluate derives for instance k, so
+        it prints the r that evaluate's report holds for it. With --seed passed
+        as is, each technique's r differed at one or more of these indices."""
+        _, out, _ = evaluate_run
+        report = json.loads((out / "iris_binary__gnb.report.json").read_text())
+        scores = report["per_technique"][technique]["scores"]
+        for k in (1, 8, 13, 32):
+            capsys.readouterr()
+            assert cli.main([
+                "explain", "--dataset", ds_config("iris_binary"), "--model", "gnb",
+                "--technique", technique, "--index", str(k), *FAST_FLAGS,
+            ]) == 0
+            assert json.loads(capsys.readouterr().out)["r"] == scores[k], k
+
     def test_shapes(self, capsys):
         assert run_explain(["--technique", "lime"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from xplain import evaluation
+from xplain import data, evaluation, explainers
 from xplain.errors import DimensionMismatchError, VectorTooShortError
 from xplain.evaluation import (
     CorrelationScore,
@@ -18,9 +18,9 @@ from xplain.evaluation import (
 )
 from xplain.explainers import ExplainerConfig, LimeConfig, LpiConfig, ShapConfig
 from xplain.groundtruth import ground_truth
-from xplain.models import ModelHandle, train_gnb
+from xplain.models import ModelHandle, predict_proba, train_gnb
 
-from conftest import linear_handle, numeric_dataset
+from conftest import DATASETS_DIR, linear_handle, numeric_dataset
 
 
 def brute_force_spearman(a, b):
@@ -212,6 +212,44 @@ class TestEvaluateDataset:
         assert len(a.ground_truths) == len(c.ground_truths) == 12
         for g1, g3 in zip(a.ground_truths, c.ground_truths):
             assert np.array_equal(g1.lam, g3.lam) and g1.offset == g3.offset
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_blocks_match_single_instances(self, block, monkeypatch):
+        """Blocks of 5 leave a last block of 2 and 64 one short block of 12;
+        every score and ground truth equals the instance's own evaluation."""
+        ds, handle, cfg = self.make()
+        monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
+        techniques = ["lime", "shap", "lpi"]
+        sets = evaluate_dataset(ds, handle, techniques, "probability", cfg, seed=3)
+        for k in range(12):
+            gt, scores = evaluate_instance(ds.X_test[k], handle, techniques, "probability", ds,
+                                           cfg, seed=derive_seed(3, k), instance_index=k)
+            assert np.array_equal(sets[0].ground_truths[k].lam, gt.lam)
+            assert [s.scores[k] for s in sets] == scores
+
+    def test_model_calls_packed(self, monkeypatch):
+        """pima under the local-probability benchmark flags: one instance at a
+        time took 192 LIME calls and 192 * 9 LPI calls, 1,920 in all. Blocks
+        of instances pack LPI's f(x) rows and 128-row pieces into 51 calls of
+        at most _BLOCK_ROWS rows; each 1,000-row LIME piece, larger than
+        _PACK_ROWS, is still scored alone. The rows scored do not change."""
+        config = data.DatasetConfig.from_json(DATASETS_DIR / "pima.json")
+        ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+        handle = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        cfg = ExplainerConfig(lime=LimeConfig(samples=1000), lpi=LpiConfig(samples=128))
+        sizes = []
+
+        def spy(model, X):
+            sizes.append(len(X))
+            return predict_proba(model, X)
+
+        monkeypatch.setattr(explainers, "predict_proba", spy)
+        evaluate_dataset(ds, handle, ["lime", "lpi"], "probability", cfg, seed=1)
+        assert len(ds.X_test) == 192
+        assert sum(sizes) == 192 * (1000 + 1 + 8 * 128)
+        assert max(sizes) <= explainers._BLOCK_ROWS
+        assert sizes.count(1000) == 192
+        assert len(sizes) == 192 + 51
 
     def test_empty_test_split_rejected(self):
         ds, handle, cfg = self.make()

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from xplain import data, explainers
-from xplain.errors import DegenerateWeightsError, UnknownTechniqueError
+from xplain.errors import DegenerateWeightsError, DimensionMismatchError, UnknownTechniqueError
+from xplain.evaluation import derive_seed
 from xplain.explainers import (
+    TARGET_SPACES,
+    TECHNIQUES,
     ExplainerConfig,
     LimeConfig,
     LpiConfig,
@@ -429,8 +432,8 @@ class TestCoalitionGenerators:
 
 
 class TestCoalitionValues:
-    """_coalition_values scores coalitions in blocks of whole coalitions;
-    the blocking must not change any value."""
+    """Coalition rows come in pieces of whole coalitions and are scored in
+    packed model calls; neither may change any value."""
 
     @staticmethod
     def _case(n, B, masks, seed=0):
@@ -446,7 +449,9 @@ class TestCoalitionValues:
             return predict_logodds(handle, Z)
 
         x, background = X[-1], X[:B]
-        values = explainers._coalition_values(f, masks, x, background)
+        pieces = explainers._coalition_rows(masks, x, background)
+        values = explainers._coalition_values(
+            explainers._score_packed(f, pieces), len(masks), B)
         whole = np.where(masks[:, None, :], x, background[None, :, :])
         single = predict_logodds(handle, whole.reshape(-1, n)).reshape(len(masks), B).mean(axis=1)
         return values, single, calls
@@ -500,17 +505,24 @@ class TestGnbAdditiveOracle:
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
 
+def wide_mixed_dataset(tmp_path, seed=1):
+    """The benchmark's generated mixed-type table (19 encoded columns, one-hot
+    groups), standardized."""
+    spec = importlib.util.spec_from_file_location(
+        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
+    widemixed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widemixed)
+    config = data.DatasetConfig.from_json(widemixed.generate(seed, tmp_path))
+    ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+    return ds
+
+
 def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
     """LR and GNB are additive in log-odds, so sampled SHAP over the whole
     training split returns lam_j(x) - mean_train lam_j for any full-rank set
     of coalitions, whichever draws the sampler makes. This is why a change
     of the sampler's random stream leaves the wide-mixed reports unchanged."""
-    spec = importlib.util.spec_from_file_location(
-        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
-    widemixed = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(widemixed)
-    config = data.DatasetConfig.from_json(widemixed.generate(1, tmp_path))
-    ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+    ds = wide_mixed_dataset(tmp_path)
     n, m = ds.n_features, ds.X_train.shape[0]
     assert n > explainers.EXACT_SHAP_LIMIT
     cfg = ExplainerConfig(shap=ShapConfig(samples=1300, background_size=m))
@@ -523,6 +535,98 @@ def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
             assert e.sample_count == 1300
             closed = feature_terms(handle, x)[1] - mean_lam
             assert np.max(np.abs(e.phi - closed)) < 1e-12, (handle.kind, i)
+
+
+class TestBlocks:
+    """explain() over a block (k, n) with k seeds equals, bit for bit, the k
+    single-instance explanations stacked, however the instances' rows pack
+    into model calls."""
+
+    @staticmethod
+    def _case(name, tmp_path):
+        if name == "iris_binary":  # bundled; exact SHAP, 76 rows per instance
+            config = data.DatasetConfig.from_json(DATASETS_DIR / "iris_binary.json")
+            ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+            cfg = ExplainerConfig(lime=LimeConfig(samples=300),
+                                  shap=ShapConfig(background_size=5), lpi=LpiConfig(samples=90))
+        elif name == "categorical":
+            ds = categorical_dataset()
+            cfg = ExplainerConfig(lime=LimeConfig(samples=700), shap=ShapConfig(background_size=30))
+        else:  # wide-mixed: sampled SHAP, several calls per instance
+            ds = wide_mixed_dataset(tmp_path)
+            cfg = ExplainerConfig(lime=LimeConfig(samples=300),
+                                  shap=ShapConfig(samples=300, background_size=40))
+        handles = [ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=2)),
+                   ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))]
+        return ds, cfg, handles
+
+    @staticmethod
+    def _assert_block_is_stacked_singles(technique, target, handle, X, ds, cfg, seeds):
+        block = explain(technique, target, handle, X, ds, cfg, seeds)
+        singles = [explain(technique, target, handle, x, ds, cfg, s) for x, s in zip(X, seeds)]
+        assert block.phi.shape == X.shape
+        assert np.array_equal(block.phi, np.stack([e.phi for e in singles]))
+        assert all(block.sample_count == e.sample_count for e in singles)
+        if technique == "shap":
+            assert block.base_value.shape == (len(X),)
+            assert np.array_equal(block.base_value, [e.base_value for e in singles])
+        else:
+            assert block.base_value is None
+
+    @pytest.mark.parametrize("name", ["iris_binary", "categorical", "wide-mixed"])
+    def test_block_equals_stacked_singles(self, name, tmp_path):
+        ds, cfg, handles = self._case(name, tmp_path)
+        X = ds.X_test[:5]
+        seeds = [derive_seed(3, k) for k in range(len(X))]
+        for handle in handles:
+            for technique in TECHNIQUES:
+                for target in TARGET_SPACES:
+                    self._assert_block_is_stacked_singles(
+                        technique, target, handle, X, ds, cfg, seeds)
+
+    @pytest.mark.parametrize("name,calls", [("iris_binary", 1), ("wide-mixed", 16)])
+    def test_shap_call_packing(self, name, calls, tmp_path, monkeypatch):
+        """iris_binary: 76 rows per instance, so all four instances share one
+        call; wide-mixed: each instance's coalitions span several calls."""
+        ds, cfg, (lr, _) = self._case(name, tmp_path)
+        sizes = []
+
+        def spy(model, X):
+            sizes.append(len(X))
+            return predict_logodds(model, X)
+
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        X = ds.X_test[:4]
+        explain("shap", "logodds", lr, X, ds, cfg, [1, 2, 3, 4])
+        assert len(sizes) == calls
+        assert max(sizes) <= explainers._BLOCK_ROWS
+
+    def test_lpi_oversized_pieces_scored_alone(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        ds = numeric_dataset(rng.normal(0, 1, (60, 3)))
+        handle = linear_handle([0.5, -1.0, 2.0])
+        S = explainers._BLOCK_ROWS + 1
+        cfg = ExplainerConfig(lpi=LpiConfig(samples=S))
+        sizes = []
+
+        def spy(model, X):
+            sizes.append(len(X))
+            return predict_logodds(model, X)
+
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        self._assert_block_is_stacked_singles("lpi", "logodds", handle, ds.X_test[:3], ds, cfg,
+                                              [7, 8, 9])
+        # the block's calls, then the three single-instance ones: per
+        # instance its f(x) row, then each of its three slots alone
+        assert sizes == [1, S, S, S] * 6
+
+    @pytest.mark.parametrize("x_rows,seed", [(3, [1, 2]), (3, 1), (None, [1]), (0, [])])
+    def test_seed_count_must_match_block(self, x_rows, seed):
+        ds = numeric_dataset(np.random.default_rng(2).normal(0, 1, (20, 3)))
+        x = ds.X_test[0] if x_rows is None else ds.X_test[:x_rows]
+        with pytest.raises(DimensionMismatchError) as err:
+            explain("lpi", "logodds", linear_handle([1.0, 2.0, 3.0]), x, ds, seed=seed)
+        assert "\n" not in str(err.value)
 
 
 class TestLpi:
