@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import models as models_mod
-from .errors import IndexOutOfRangeError, XplainError
+from .errors import IndexOutOfRangeError, VectorTooShortError, XplainError
 from .evaluation import (
     DatasetScoreSet,
     derive_seed,
@@ -110,9 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare(config_path: str, preprocess_flag: str):
+def _prepare(config_path: str, preprocess_flag: str, scored: bool = True):
+    """The preprocessed dataset and its spec. A dataset to be scored needs two
+    features: Spearman's rank correlation of one value is undefined."""
     config = data_mod.DatasetConfig.from_json(config_path)
     dataset = data_mod.load_dataset(config)
+    if scored and dataset.n_features < 2:
+        raise VectorTooShortError(
+            f"{config.csv_path}: {dataset.n_features} feature column(s); scoring an "
+            "explanation by Spearman rank correlation needs at least 2"
+        )
     if dataset.unseen_category_count:
         print(
             f"[{dataset.name}] warning: {dataset.unseen_category_count} unseen "
@@ -346,7 +353,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset, spec = _prepare(args.dataset, args.preprocess)
+    dataset, spec = _prepare(args.dataset, args.preprocess, scored=False)
     handle = _train(args.model, dataset, spec, args)
     train_acc = models_mod.accuracy(handle, dataset.X_train, dataset.y_train)
     test_acc = models_mod.accuracy(handle, dataset.X_test, dataset.y_test)

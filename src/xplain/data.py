@@ -517,16 +517,23 @@ def apply_preprocess(spec: PreprocessSpec, matrix: np.ndarray) -> np.ndarray:
 
 
 def preprocess_dataset(dataset: Dataset, kind: str) -> tuple[Dataset, PreprocessSpec]:
-    """Fit on the training split and return the transformed dataset plus spec."""
-    spec = fit_preprocess(dataset, kind)
-    return (
-        replace(
-            dataset,
-            X_train=apply_preprocess(spec, dataset.X_train),
-            X_test=apply_preprocess(spec, dataset.X_test),
-        ),
-        spec,
-    )
+    """Fit on the training split and return the transformed dataset plus spec.
+
+    A numeric column whose transform overflows float64 (its spread, as for
+    1e308 and -1e308, or a value's distance from the fitted center) raises
+    InvalidCsvError naming the column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = fit_preprocess(dataset, kind)
+        X_train = apply_preprocess(spec, dataset.X_train)
+        X_test = apply_preprocess(spec, dataset.X_test)
+    finite = (np.isfinite(spec.center) & np.isfinite(spec.scale)
+              & np.isfinite(X_train).all(axis=0) & np.isfinite(X_test).all(axis=0))
+    if not finite.all():
+        name = dataset.feature_names[int(np.argmin(finite))]
+        raise InvalidCsvError(
+            f"numeric column {name!r}: its values overflow float64 under the {kind} transform"
+        )
+    return replace(dataset, X_train=X_train, X_test=X_test), spec
 
 
 def load_dataset(config: DatasetConfig) -> Dataset:

@@ -12,8 +12,8 @@ class InvalidConfigError(XplainError, ValueError):
 class InvalidCsvError(XplainError, ValueError):
     """A dataset CSV cannot be read into a table: the file is unreadable, a
     duplicate header name, a row whose cell count differs from the header's, an
-    unparseable numeric cell, or a categorical column with fewer than two
-    training categories."""
+    unparseable numeric cell, a categorical column with fewer than two
+    training categories, or a numeric column whose preprocessing overflows."""
 
 
 class NonBinaryTargetError(XplainError):

@@ -7,7 +7,8 @@ takes one instance x of shape (n,) with an int seed, or a block X of shape
 seed, so results are reproducible and schedule-independent, and explaining a
 block gives exactly the stacked single-instance explanations. One-hot groups
 are always perturbed atomically (per-column bit flips would produce
-impossible encodings).
+impossible encodings). Rows for the model are built column-major, so the
+scorer works on m rows per numpy operation; solves stay row-major.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def _score_packed(f, pieces):
     Packing pieces of up to 1,024 rows made the grid's LPI (576-1,029-row
     pieces) 13 % slower and, with 2,000-row LIME pieces in pairs, raised
     wide-mixed's peak RSS by 2.9 MB. Pieces are drawn only as a call fills,
-    so at most one call's rows, their concatenation and one more piece are
-    held at a time.
+    so at most one call's pieces, its buffer and one more piece are held at
+    a time.
 
     4,096 rows of 19 columns take about 620 KB, so a call's rows and the
     scorer's temporary of the same size fit in a 2 MB per-core L2 cache;
@@ -171,8 +172,13 @@ def _score_packed(f, pieces):
 
 
 def _score_call(f, batch: list[np.ndarray]) -> list[np.ndarray]:
-    """One model call over the pieces in batch, split back per piece."""
-    return np.split(f(np.concatenate(batch)), np.cumsum([len(p) for p in batch[:-1]]))
+    """One model call over the pieces in batch, copied one after another into
+    a column-major buffer, split back per piece."""
+    ends = np.cumsum([len(p) for p in batch])
+    buffer = np.empty((ends[-1], batch[0].shape[1]), order="F")
+    for piece, end in zip(batch, ends):
+        buffer[end - len(piece) : end] = piece
+    return np.split(f(buffer), ends[:-1])
 
 
 def explain_lime(
@@ -198,24 +204,31 @@ def explain_lime(
     n = dataset.n_features
     S = cfg.samples
     kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * math.sqrt(n)
+    draws = _lime_draws(dataset)
     # (Z, weights) per instance, queued by perturbations() before Z is scored
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
 
     def perturbations():
         for x, seed in zip(X, seeds):
             rng = np.random.default_rng([_RNG_TAG[LIME], seed])
-            Z = np.tile(x, (S, 1))
-            d2 = np.zeros(S)
-            for (cols, group), stat in zip(dataset.slots, dataset.slot_train_stats):
-                if group is None:
-                    j, std = cols[0], stat
-                    Z[:, j] = rng.normal(x[j], std, S) if std > 0 else x[j]
-                    d2 += ((Z[:, j] - x[j]) / (std if std > 0 else 1.0)) ** 2
+            Z = np.empty((S, n), order="F")
+            Z[:] = x
+            ZT = Z.T  # one contiguous row per column
+            # one row of distance terms per slot; a column without spread adds 0
+            dist = np.zeros((len(dataset.slots), S))
+            for slots, cols, stat in draws:
+                if stat.ndim == 2:
+                    # Normal(x_j, std_j) as rng.normal draws it, column after column
+                    loc = x[cols, None]
+                    drawn = loc + stat * rng.standard_normal((len(cols), S))
+                    ZT[cols] = drawn
+                    dist[slots] = ((drawn - loc) / stat) ** 2
                 else:
                     cats = rng.choice(len(cols), size=S, p=stat)
-                    Z[:, cols] = 0.0
+                    ZT[cols] = 0.0
                     Z[np.arange(S), cols[cats]] = 1.0
-                    d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
+                    dist[slots] = np.any(ZT[cols] != x[cols, None], axis=0)
+            d2 = dist.sum(axis=0)  # slot after slot
 
             with np.errstate(divide="ignore"):
                 weights = np.exp(-d2 / kernel_width**2)
@@ -230,11 +243,41 @@ def explain_lime(
     return _shaped_like(x, phi, S)
 
 
+def _lime_draws(dataset: Dataset) -> list[tuple]:
+    """LIME's random draws in slot order, as (slots, cols, stat) triples.
+
+    Each run of numeric slots between one-hot groups is one draw: `slots`
+    and `cols` index the run's columns whose training std (`stat`, shape
+    (k, 1)) is positive; the other columns keep x and add no distance. A
+    group is one draw: its slot, columns and category frequencies (1-D)."""
+    draws = []
+    run: list[tuple[int, int, float]] = []
+
+    def close_run():
+        if run:
+            slots, cols, stds = zip(*run)
+            draws.append((list(slots), np.array(cols), np.array(stds)[:, None]))
+            run.clear()
+
+    for s, ((cols, group), stat) in enumerate(zip(dataset.slots, dataset.slot_train_stats)):
+        if group is not None:
+            close_run()
+            draws.append((s, cols, stat))
+        elif stat > 0:
+            run.append((s, cols[0], stat))
+    close_run()
+    return draws
+
+
 def _weighted_ridge(Z: np.ndarray, weights: np.ndarray, y: np.ndarray) -> np.ndarray:
     """LIME's surrogate coefficients: weighted ridge of y on Z, strength 1,
     with an unpenalized intercept (dropped from the result). Its (S, n + 1)
-    temporaries are freed on return, before the next instance is drawn."""
-    A = np.column_stack([np.ones(len(Z)), Z])
+    temporaries are freed on return, before the next instance is drawn. The
+    design is row-major whatever Z's layout: BLAS picks its kernel by layout,
+    and another kernel would sum gram in another order."""
+    A = np.empty((len(Z), Z.shape[1] + 1))
+    A[:, 0] = 1.0
+    A[:, 1:] = Z
     Aw = A * weights[:, None]
     gram = Aw.T @ A
     penal = np.eye(A.shape[1])
@@ -246,10 +289,14 @@ def _coalition_rows(masks: np.ndarray, x: np.ndarray, background: np.ndarray):
     """The rows valuing each coalition: x on S, background rows off S. They
     come in pieces of whole coalitions, at most _BLOCK_ROWS rows each (one
     coalition when the background has more rows)."""
-    chunk = max(1, _BLOCK_ROWS // background.shape[0])
+    B = background.shape[0]
+    chunk = max(1, _BLOCK_ROWS // B)
+    # built transposed, one contiguous row per column, from operands of one
+    # shape: row k * B + b of a full piece takes background row b off S
+    back = np.tile(background.T, (1, min(chunk, len(masks))))
     for start in range(0, len(masks), chunk):
-        Z = np.where(masks[start : start + chunk, None, :], x, background[None, :, :])
-        yield Z.reshape(-1, x.shape[0])
+        on = np.repeat(masks[start : start + chunk].T, B, axis=1)
+        yield np.where(on, x[:, None], back[:, : on.shape[1]]).T
 
 
 def _coalition_values(scores, count: int, B: int) -> np.ndarray:
@@ -389,6 +436,7 @@ def explain_shap(
                 background = dataset.X_train[rng.choice(m, B, replace=False)]
             else:
                 background = dataset.X_train
+            background = np.asfortranarray(background)
             if exact:
                 masks, weights = _exact_coalitions(n)
             else:
@@ -442,23 +490,29 @@ def explain_lpi(
         for x, seed in zip(X, seeds):
             rng = np.random.default_rng([_RNG_TAG[LPI], seed])
             yield x[None, :]
-            X_rep = np.tile(x, (S, 1))
+            X_rep = np.empty((S, n), order="F")
+            X_rep[:] = x
             for cols, _ in dataset.slots:
                 order = rng.permutation(m)
                 picks = order[:S] if S <= m else np.resize(order, S)
-                Z = X_rep.copy()
-                Z[:, cols] = dataset.X_train.take(cols, axis=1).take(picks, axis=0)
+                Z = X_rep.copy(order="F")
+                Z.T[cols] = train_T.take(cols, axis=0).take(picks, axis=1)
                 yield Z
 
-    def score(diffs: np.ndarray) -> float:
-        return float(np.mean(np.abs(diffs) if cfg.absolute else diffs))
-
+    train_T = np.ascontiguousarray(dataset.X_train.T)
+    slots = dataset.slots
     scores = _score_packed(_target_fn(model, target_space), rows())
     phi = np.zeros((len(X), n))
+    diffs = np.empty((len(slots), S))
     for i in range(len(X)):
         fx = float(next(scores)[0])
-        for cols, _ in dataset.slots:
-            phi[i, cols] = score(fx - next(scores))
+        for row in diffs:
+            np.subtract(fx, next(scores), out=row)
+        if cfg.absolute:
+            np.abs(diffs, out=diffs)
+        # each row's mean sums S contiguous values, as np.mean of one slot's would
+        for (cols, _), value in zip(slots, diffs.mean(axis=1)):
+            phi[i, cols] = value
     return _shaped_like(x, phi, S)
 
 

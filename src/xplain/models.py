@@ -255,7 +255,7 @@ def _check_input(x: np.ndarray, n: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"input has shape {x.shape}, model expects {n} features"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input contains non-finite values")
     return x
 
@@ -293,15 +293,56 @@ def feature_terms(model, x) -> tuple[float, np.ndarray]:
     return offset, terms
 
 
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """np.sum(terms, axis=-1) as numpy computes it on row-major terms, bit for
+    bit, for a batch (m, n) of either memory layout. On column-major terms
+    the sum is taken column by column, in m-element steps, instead of one
+    n-element loop per row. For n >= 8 the partial sums are kept in terms'
+    own columns, so terms is overwritten: a call allocates nothing beyond
+    its result. (Separate 8-row temporaries made glibc give the heap top
+    back after every wide-mixed SHAP piece and fault it in again.)
+
+    numpy sums a contiguous row pairwise. For n < 8 that is one term after
+    another from 0.0, which is also how it reduces a column-major batch, so
+    np.add.reduce serves both layouts. For 8 <= n <= 128 it keeps eight
+    accumulators r_k = t_k + t_{k+8} + ..., combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then adds the last
+    n mod 8 terms in order; the reduction adds that result to 0.0, so a row
+    of -0.0 sums to +0.0. Above 128 columns numpy splits the row
+    recursively, and such rows are summed by np.sum over a row-major copy.
+    """
+    n = terms.shape[1]
+    if n < 8:
+        return np.add.reduce(terms, axis=1)
+    if n > 128:
+        return np.sum(np.ascontiguousarray(terms), axis=-1)
+    cols = terms.T
+    body = n - n % 8
+    r = cols[:8]  # the accumulators r_k, kept in the first eight columns
+    for i in range(8, body, 8):
+        r += cols[i : i + 8]
+    r[0:8:2] += r[1:8:2]  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+    r[0:8:4] += r[2:8:4]  # (r0 + r1) + (r2 + r3), (r4 + r5) + (r6 + r7)
+    out = r[0]
+    out += r[4]
+    for col in cols[body:]:
+        out += col
+    out += 0.0
+    return out
+
+
 def predict_logodds(model, x) -> float | np.ndarray:
     """Class-1 log-odds: offset + sum of the per-feature terms.
 
-    Accepts a single instance (n,) or a batch (m, n); returns a float for a
-    single instance.
+    Accepts a single instance (n,) or a batch (m, n) in either memory layout;
+    returns a float for a single instance. Every row is summed on its own in
+    the same order whatever its layout, so a row's value does not depend on
+    the batch it is scored in.
     """
     offset, terms = feature_terms(model, x)
-    out = offset + np.sum(terms, axis=-1)
-    return float(out) if terms.ndim == 1 else out
+    if terms.ndim == 1:
+        return float(offset + np.sum(terms))
+    return offset + _row_sum(terms)  # terms is this call's own array
 
 
 def predict_proba(model, x) -> float | np.ndarray:

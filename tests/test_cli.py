@@ -338,6 +338,48 @@ def test_missing_config_key_named(bad_configs, tmp_path, capsys):
     )
 
 
+def test_one_feature_dataset_fails_its_data_stage(tmp_path, capsys):
+    """Spearman cannot rank one value, so evaluate rejects the dataset before
+    training rather than failing once per model at its evaluate stage."""
+    rng = np.random.default_rng(0)
+    write_csv(tmp_path / "one.csv", "x,y",
+              [f"{v:.4f},{i % 2}" for i, v in enumerate(rng.normal(0, 1, 40))])
+    (tmp_path / "one.json").write_text(json.dumps(
+        {"csv_path": "one.csv", "target_column": "y", "positive_label": "1"}))
+    code = cli.main(["evaluate", "--dataset", str(tmp_path / "one.json"), "--model", "both",
+                     "--out", str(tmp_path / "out"), *FAST_FLAGS])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: dataset 'one' failed at stage data: "), err
+    assert "Spearman" in err[0] and "at least 2" in err[0]
+    # training needs no score, so `train` still accepts the dataset
+    assert cli.main(["train", "--dataset", str(tmp_path / "one.json"), "--model", "gnb",
+                     "--out", str(tmp_path / "one.model.json")]) == 0
+
+
+def test_overflowing_numeric_spread_one_line_error(tmp_path):
+    """A column holding 1e308 and -1e308 has a spread float64 cannot hold;
+    the run stops at stage data with one line naming the column, instead of
+    printing numpy's overflow warning and standardizing the column to 0."""
+    header, *lines = (DATASETS_DIR / "iris_binary.csv").read_text().splitlines()
+    extremes = {0: "1e308", 1: "-1e308"}
+    write_csv(tmp_path / "huge.csv", header + ",wide_range",
+              [f"{line},{extremes.get(i, '0.5')}" for i, line in enumerate(lines)])
+    config = json.loads((DATASETS_DIR / "iris_binary.json").read_text())
+    (tmp_path / "huge.json").write_text(json.dumps({**config, "csv_path": "huge.csv"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xplain", "evaluate", "--dataset", str(tmp_path / "huge.json"),
+         "--model", "gnb", "--technique", "lpi", "--out", str(tmp_path / "out"), *FAST_FLAGS],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: dataset 'huge' failed at stage data: "), err
+    assert "'wide_range'" in err[0] and "overflow" in err[0]
+
+
 def test_benchmark_tracer_installs(tmp_path):
     """The benchmark's tracer patches xplain names by module attribute and reads
     fields of their results; a renamed or removed name or field must fail here,

@@ -20,7 +20,9 @@ from xplain.explainers import (
     explain_shap,
 )
 from xplain.models import (
+    PROBA_CLIP,
     ModelHandle,
+    _sigmoid,
     feature_terms,
     predict_logodds,
     predict_proba,
@@ -456,6 +458,25 @@ class TestCoalitionValues:
         single = predict_logodds(handle, whole.reshape(-1, n)).reshape(len(masks), B).mean(axis=1)
         return values, single, calls
 
+    @pytest.mark.parametrize("n,B,sampled", [(4, 3, False), (12, 3, False), (12, 100, False),
+                                             (19, 350, True), (5, 5000, False)])
+    def test_rows_match_broadcast_form(self, n, B, sampled):
+        """Pieces built transposed from same-shape operands hold the rows of
+        the broadcast np.where, in its order: full chunks, a short last
+        chunk, and one coalition per piece when B exceeds _BLOCK_ROWS."""
+        rng = np.random.default_rng(n + B)
+        if sampled:
+            masks, _ = explainers._sample_coalitions(n, 1300, rng)
+        else:
+            masks, _ = explainers._exact_coalitions(n)
+        x, background = rng.normal(0, 1, n), rng.normal(0, 1, (B, n))
+        pieces = list(explainers._coalition_rows(masks, x, background))
+        chunk = max(1, explainers._BLOCK_ROWS // B)
+        assert [len(p) for p in pieces[:-1]] == [chunk * B] * (len(pieces) - 1)
+        assert all(p.flags.f_contiguous for p in pieces)
+        whole = np.where(masks[:, None, :], x, background[None, :, :]).reshape(-1, n)
+        assert np.array_equal(np.concatenate(pieces), whole)
+
     @pytest.mark.parametrize("n,B,sampled", [(12, 3, False), (19, 350, True), (12, 5000, False)])
     def test_blocks_match_one_call(self, n, B, sampled):
         if sampled:
@@ -627,6 +648,96 @@ class TestBlocks:
         with pytest.raises(DimensionMismatchError) as err:
             explain("lpi", "logodds", linear_handle([1.0, 2.0, 3.0]), x, ds, seed=seed)
         assert "\n" not in str(err.value)
+
+
+def _reference_logodds(model, X):
+    """The row-major scorer: np.sum over each row of a C-contiguous copy."""
+    offset, terms = feature_terms(model, np.ascontiguousarray(X))
+    return offset + np.sum(terms, axis=-1)
+
+
+def _reference_proba(model, X):
+    return np.clip(_sigmoid(_reference_logodds(model, X)), PROBA_CLIP, 1.0 - PROBA_CLIP)
+
+
+class TestLayout:
+    """Explainers build their rows column-major and the scorer adds terms in
+    numpy's row-major order, so neither the layout nor the scorer's column
+    sums may change a bit of any explanation."""
+
+    def test_model_sees_column_major_rows(self, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(model, X):
+            seen.append((len(X), X.flags.f_contiguous))
+            return predict_logodds(model, X)
+
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        for name in ("iris_binary", "categorical", "wide-mixed"):
+            ds, cfg, (lr, _) = TestBlocks._case(name, tmp_path)
+            # pieces packed into calls, then LPI pieces and SHAP backgrounds scored alone
+            for size in (90, explainers._PACK_ROWS + 1):
+                cfg = ExplainerConfig(lime=cfg.lime, lpi=LpiConfig(samples=size),
+                                      shap=ShapConfig(samples=300, background_size=size))
+                for technique in TECHNIQUES:
+                    seen.clear()
+                    explain(technique, "logodds", lr, ds.X_test[:3], ds, cfg, [1, 2, 3])
+                    rows = [size for size, f_order in seen if size > 1 and not f_order]
+                    assert seen and not rows, (name, technique, rows)
+
+    @pytest.mark.parametrize("name", ["iris_binary", "categorical", "wide-mixed"])
+    def test_phi_equals_row_major_scorer(self, name, tmp_path, monkeypatch):
+        ds, cfg, handles = TestBlocks._case(name, tmp_path)
+        X, seeds = ds.X_test[:3], [4, 5, 6]
+        got = {}
+        for handle in handles:
+            for technique in TECHNIQUES:
+                for target in TARGET_SPACES:
+                    got[handle.kind, technique, target] = explain(
+                        technique, target, handle, X, ds, cfg, seeds)
+        monkeypatch.setattr(explainers, "predict_logodds", _reference_logodds)
+        monkeypatch.setattr(explainers, "predict_proba", _reference_proba)
+        for (kind, technique, target), e in got.items():
+            handle = handles[0] if kind == "lr" else handles[1]
+            ref = explain(technique, target, handle, X, ds, cfg, seeds)
+            assert np.array_equal(e.phi, ref.phi), (kind, technique, target)
+            if technique == "shap":
+                assert np.array_equal(e.base_value, ref.base_value)
+
+    def test_lime_run_draws_match_per_column_draws(self):
+        """Numeric columns between one-hot groups are drawn as one block per
+        run. Here a group splits the numeric columns into two runs and one
+        numeric column has no training spread, so it is left out of its
+        run's draw; the draws still match rng.normal column by column."""
+        rng = np.random.default_rng(5)
+        m = 90
+        rows = [(float(rng.normal()), 1.5, str(rng.choice(["a", "b", "c"])),
+                 float(rng.normal(2, 3)), float(rng.normal(-1, 0.5)),
+                 str(rng.choice(["u", "v"])), float(rng.normal()))
+                for _ in range(m)]
+        columns = (
+            data.ColumnSpec("x0", "numeric"),
+            data.ColumnSpec("flat", "numeric"),
+            data.ColumnSpec("cat", "categorical", ("a", "b", "c")),
+            data.ColumnSpec("x1", "numeric"),
+            data.ColumnSpec("x2", "numeric"),
+            data.ColumnSpec("bit", "categorical", ("u", "v")),
+            data.ColumnSpec("x3", "numeric"),
+        )
+        ds = data.encode_onehot(data.SplitTable(
+            columns=columns, train_rows=rows[:80], test_rows=rows[80:],
+            y_train=np.array([i % 2 for i in range(80)]),
+            y_test=np.array([i % 2 for i in range(m - 80)])))
+        assert ds.slot_train_stats[1] == 0.0 and len(ds.groups) == 2
+        draws = explainers._lime_draws(ds)
+        assert [np.ndim(stat) for _, _, stat in draws] == [2, 1, 2, 1, 2]
+        assert draws[0][1].tolist() == [0]  # the flat column is not drawn
+        gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        for i, samples in enumerate((1, 7, 400)):
+            cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
+            e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
+            ref = _reference_lime(gnb, ds.X_test[i], ds, samples, seed=i)
+            assert np.array_equal(e.phi, ref), samples
 
 
 class TestLpi:

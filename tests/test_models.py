@@ -17,6 +17,7 @@ from xplain.models import (
     handle_to_dict,
     predict_logodds,
     predict_proba,
+    _row_sum,
     _sigmoid,
     train_gnb,
     train_logistic,
@@ -260,6 +261,72 @@ class TestPredict:
         handle = ModelHandle("lr", LogisticModel(np.zeros(2), 0.0, "l2", 0.0))
         with pytest.raises(ValueError):
             predict_logodds(handle, np.array([1.0, np.nan]))
+
+
+def _bits(a):
+    """The raw bits of a float64 array: equal bits, equal values and signs."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestRowSum:
+    """_row_sum adds the terms of a batch column by column in numpy's own
+    order. Should a numpy sum rows in another order, these tests fail, not
+    the reports."""
+
+    @staticmethod
+    def _terms(m, n, rng):
+        """Terms of magnitude 1e-300 to 1e300 of either sign, with rows of
+        subnormals, rows of +0.0 and -0.0, and a row of cancelling pairs."""
+        T = rng.normal(0, 1, (m, n)) * 10.0 ** rng.integers(-300, 301, (m, n))
+        special = [
+            np.full(n, -0.0),
+            rng.choice([0.0, -0.0], n),
+            rng.choice([5e-324, -5e-324, 2.2e-308, -0.0], n),
+            np.resize([1e300, -1e300, 1.0], n),
+        ]
+        for i, row in enumerate(special[:m]):
+            T[(i * 97) % m] = row
+        return T
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 300])
+    def test_bit_identical_to_row_major_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        for m in (1, 2, 7, 255, 4096):
+            T = self._terms(m, n, rng)
+            want = np.sum(T, axis=-1)
+            for layout in (T.copy(), np.asfortranarray(T)):  # _row_sum overwrites its input
+                got = _row_sum(layout)
+                assert got.shape == (m,)
+                assert np.array_equal(_bits(got), _bits(want)), (n, m, layout.flags.f_contiguous)
+
+    def test_row_of_negative_zeros_sums_to_positive_zero(self):
+        for n in (1, 7, 8, 12, 19, 128, 129):
+            for T in (np.full((3, n), -0.0), np.full((3, n), -0.0, order="F")):
+                got = _row_sum(T)
+                assert np.array_equal(_bits(got), _bits(np.zeros(3))), n
+
+    def test_predictions_do_not_depend_on_layout(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 8, 12, 19):
+            X = rng.normal(0, 1, (120, n))
+            y = (rng.random(120) < 0.5).astype(int)
+            y[:2] = [0, 1]
+            rows = rng.normal(0, 3, (300, n))
+            layouts = [rows, np.asfortranarray(rows),
+                       np.asfortranarray(np.repeat(rows, 2, axis=0))[::2],  # strided rows
+                       np.hstack([rows, rows])[:, :n]]                   # strided columns
+            for handle in (
+                ModelHandle("lr", LogisticModel(rng.normal(0, 2, n), 0.3, "l2", 0.0)),
+                ModelHandle("gnb", train_gnb(X, y)),
+            ):
+                for predict in (predict_logodds, predict_proba):
+                    want = predict(handle, rows)
+                    for layout in layouts:
+                        assert np.array_equal(layout, rows)
+                        assert np.array_equal(predict(handle, layout), want), (n, handle.kind)
+                    # each row alone gives the bits it gets in the batch
+                    for i in (0, 150, 299):
+                        assert predict(handle, rows[i:i + 1])[0] == want[i]
 
 
 def _logpdf_ratio(model, X):
