@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,19 +38,6 @@ PREPROCESS_FLAGS = {
     "minmax": "minmax",
     "interquartile": "interquartile",
 }
-
-
-def _workers() -> int:
-    env = os.environ.get("XPLAIN_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise XplainError(f"XPLAIN_THREADS must be a positive integer, got {env!r}")
-    return workers
 
 
 def _explainer_config(args) -> ExplainerConfig:
@@ -180,7 +166,6 @@ def cmd_evaluate(args) -> int:
             return 1
     model_kinds = ["lr", "gnb"] if args.model == "both" else [args.model]
     config = _explainer_config(args)
-    workers = _workers()
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -225,7 +210,7 @@ def cmd_evaluate(args) -> int:
             sets = run_stage(
                 name, f"evaluate[{kind}]", evaluate_dataset,
                 dataset, handle, techniques, args.target, config,
-                seed=args.seed, workers=workers,
+                seed=args.seed,
             )
             if sets is None:
                 continue
@@ -374,6 +359,8 @@ def main(argv: list[str] | None = None) -> int:
         # checked before any command runs, so a rejected evaluate creates no --out
         if args.seed < 0:
             raise XplainError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.trials < 1:
+            raise XplainError(f"--trials must be a positive integer, got {args.trials}")
         if args.command == "evaluate":
             return cmd_evaluate(args)
         if args.command == "explain":

@@ -10,7 +10,6 @@ across datasets, to per-technique average ranks
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,36 +114,28 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 def evaluate_instance(
-    x: np.ndarray,
+    X: np.ndarray,
     model: ModelHandle,
     techniques: list[str],
     target_space: str,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
-    seed: int | Sequence[int] = 0,
-    instance_index: int | Sequence[int] | None = None,
-) -> tuple[GroundTruth | list[GroundTruth], list]:
-    """Ground truth, extracted once per instance, and one score per technique
-    (in order) correlating its explanation with it.
-
-    Like explain(), takes one instance (n,) with an int seed and index, giving
-    (GroundTruth, [score per technique]), or a block (k, n) with k seeds and k
-    indices, giving ([GroundTruth per instance], [[score per instance] per
-    technique]); each technique explains the whole block in one explain() call.
-    """
-    single = np.ndim(x) == 1
-    X = np.atleast_2d(x)
-    indices = [instance_index] if single else instance_index
-    if indices is None:
-        indices = [None] * len(X)
+    *,
+    seeds: Sequence[int],
+    instance_indices: Sequence[int],
+) -> tuple[list[GroundTruth], list[list[CorrelationScore]]]:
+    """A block of k instances X (k, n) with k seeds and k indices: the ground
+    truth of each instance, extracted once, and per technique (in order) the
+    Spearman score of each instance's explanation against it. Each technique
+    explains the whole block in one explain() call."""
+    if np.ndim(X) != 2:
+        raise DimensionMismatchError(f"expected a block of instances (k, n), got {np.shape(X)}")
     gts = [ground_truth(model, row) for row in X]
     scores = []
     for technique in techniques:
-        phi = explain(technique, target_space, model, x, dataset, config, seed).phi
+        phi = explain(technique, target_space, model, X, dataset, config, seeds).phi
         scores.append([spearman(p, gt.lam, instance_index=k)
-                       for p, gt, k in zip(np.atleast_2d(phi), gts, indices)])
-    if single:
-        return gts[0], [s[0] for s in scores]
+                       for p, gt, k in zip(phi, gts, instance_indices, strict=True)])
     return gts, scores
 
 
@@ -200,12 +191,14 @@ def evaluate_dataset(
             target_space,
             dataset,
             config,
-            seed=[derive_seed(seed, k) for k in ks],
-            instance_index=list(ks),
+            seeds=[derive_seed(seed, k) for k in ks],
+            instance_indices=list(ks),
         )
 
     starts = range(0, m, INSTANCE_BLOCK)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so serial runs skip the import
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block, starts))
     else:

@@ -1,11 +1,13 @@
 """Shared helpers for building small datasets and models in tests."""
 
+import importlib.util
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from xplain import data
 from xplain.data import Dataset
 from xplain.models import LogisticModel, ModelHandle
 
@@ -62,3 +64,20 @@ def write_csv(path: Path, header: str, lines: list[str]):
 @pytest.fixture
 def csv_dir(tmp_path):
     return tmp_path
+
+
+def wide_mixed_config(out_dir: Path, seed: int = 1) -> Path:
+    """The benchmark's generated mixed-type table (19 encoded columns, one-hot
+    groups), written to out_dir by perfbench/widemixed.py; its config path."""
+    spec = importlib.util.spec_from_file_location(
+        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
+    widemixed = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(widemixed)
+    return widemixed.generate(seed, out_dir)
+
+
+def wide_mixed_dataset(tmp_path: Path, seed: int = 1) -> Dataset:
+    """The wide-mixed table, loaded and standardized."""
+    config = data.DatasetConfig.from_json(wide_mixed_config(tmp_path, seed))
+    ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+    return ds

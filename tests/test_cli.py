@@ -1,5 +1,5 @@
 import csv
-import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +10,7 @@ import pytest
 
 from xplain import cli
 
-from conftest import DATASETS_DIR, SRC_DIR, write_csv
+from conftest import DATASETS_DIR, SRC_DIR, wide_mixed_config, write_csv
 
 FAST_FLAGS = [
     "--trials", "4",
@@ -168,17 +168,51 @@ class TestEvaluate:
         assert len(err) == 1
         assert err[0].startswith("error: dataset '.' failed at stage data: .: cannot read ("), err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_thread_count_one_line_error(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("XPLAIN_THREADS", value)
-        code = cli.main([
-            "evaluate", "--dataset", ds_config("iris_binary"),
-            "--out", str(tmp_path), *FAST_FLAGS,
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: XPLAIN_THREADS must be a positive integer, got '{value}'\n"
-        )
+
+@pytest.fixture(scope="module")
+def unthreaded_run(tmp_path_factory):
+    """An evaluate run's report set with XPLAIN_THREADS unset."""
+    out = tmp_path_factory.mktemp("unthreaded")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("XPLAIN_THREADS", raising=False)
+        assert cli.main(["evaluate", "--dataset", ds_config("iris_binary"),
+                         "--out", str(out), *FAST_FLAGS]) == 0
+    return out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "2"])
+def test_thread_variable_not_read(value, unthreaded_run, tmp_path, monkeypatch):
+    """The CLI evaluates serially: XPLAIN_THREADS neither fails a run nor
+    reaches evaluate_dataset, and the reports equal an unset run's."""
+    monkeypatch.setenv("XPLAIN_THREADS", value)
+    real = cli.evaluate_dataset
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_dataset", spy)
+    out = tmp_path / "out"
+    assert cli.main(["evaluate", "--dataset", ds_config("iris_binary"),
+                     "--out", str(out), *FAST_FLAGS]) == 0
+    assert len(calls) == 2 and all("workers" not in arguments for arguments in calls)
+    names = sorted(p.name for p in unthreaded_run.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (unthreaded_run / name).read_bytes(), name
+
+
+def test_cli_import_leaves_the_pool_unloaded():
+    """Only evaluate_dataset's workers > 1 branch needs concurrent.futures,
+    and the CLI never takes it; importing it costs start-up time."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, xplain.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.fixture
@@ -280,6 +314,9 @@ def bad_configs(tmp_path):
      "--technique", "lpi", "--index", "0"],
     ["evaluate", "--dataset", "BAD/label_float.json", "--model", "gnb"],
     ["train", "--dataset", "BAD/label_list.json", "--model", "gnb"],
+    ["train", "--dataset", "IRIS", "--model", "gnb", "--trials", "0"],
+    ["explain", "--dataset", "IRIS", "--model", "gnb", "--technique", "lpi",
+     "--index", "0", "--trials", "-3"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -299,7 +336,7 @@ def bad_configs(tmp_path):
     "explain-csv-is-a-directory", "evaluate-csv-is-a-directory",
     "evaluate-repeated-technique", "train-bool-positive-label",
     "explain-null-positive-label", "evaluate-float-positive-label",
-    "train-list-positive-label",
+    "train-list-positive-label", "train-gnb-trials-0", "explain-gnb-negative-trials",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
@@ -311,22 +348,23 @@ def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-@pytest.mark.parametrize("argv,threads", [
-    (["--lime-samples", "0"], None),
-    (["--technique", "mystery"], None),
-    (["--technique", ","], None),
-    ([], "abc"),
-    (["--seed", "-1"], None),
-    (["--technique", "lime, shap,lime"], None),
-], ids=["lime-samples-0", "unknown-technique", "empty-technique-list", "bad-thread-count",
-        "negative-seed", "repeated-technique"])
-def test_rejected_evaluate_creates_no_out_dir(argv, threads, tmp_path, monkeypatch):
-    if threads is not None:
-        monkeypatch.setenv("XPLAIN_THREADS", threads)
+@pytest.mark.parametrize("argv", [
+    ["--lime-samples", "0"],
+    ["--technique", "mystery"],
+    ["--technique", ","],
+    ["--seed", "-1"],
+    ["--technique", "lime, shap,lime"],
+    ["--trials", "0"],
+    ["--trials", "-3"],
+], ids=["lime-samples-0", "unknown-technique", "empty-technique-list", "negative-seed",
+        "repeated-technique", "trials-0", "trials-negative"])
+def test_rejected_evaluate_creates_no_out_dir(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["evaluate", "--dataset", ds_config("iris_binary"),
                      "--out", str(out), *argv]) == 1
     assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_missing_config_key_named(bad_configs, tmp_path, capsys):
@@ -386,7 +424,7 @@ def test_benchmark_tracer_installs(tmp_path):
     not only in a traced bench run."""
     root = SRC_DIR.parent
     spans_file = tmp_path / "spans.json"
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "XPLAIN_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
         [sys.executable, "perfbench/child.py", "traced", str(spans_file), "--",
          "evaluate", "--dataset", ds_config("iris_binary"), "--model", "both",
@@ -508,35 +546,22 @@ class TestTrain:
         assert code == 1
 
 
-def test_wide_mixed_sampled_shap_with_groups(tmp_path, monkeypatch):
+def test_wide_mixed_sampled_shap_with_groups(tmp_path):
     """Sampled KernelSHAP (19 encoded columns > EXACT_SHAP_LIMIT) over one-hot
-    groups, end to end through the CLI on the benchmark's wide-mixed table,
-    with byte-identical reports whatever XPLAIN_THREADS is."""
-    spec = importlib.util.spec_from_file_location(
-        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
-    widemixed = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(widemixed)
-    config = widemixed.generate(1, tmp_path / "data")
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("XPLAIN_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        assert cli.main([
-            "evaluate", "--dataset", str(config), "--out", str(out),
-            "--trials", "2", "--lime-samples", "200", "--shap-samples", "200",
-            "--shap-background", "20", "--lpi-samples", "50",
-        ]) == 0
-        outs.append(out)
+    groups, end to end through the CLI on the benchmark's wide-mixed table."""
+    config = wide_mixed_config(tmp_path / "data")
+    out = tmp_path / "out"
+    assert cli.main([
+        "evaluate", "--dataset", str(config), "--out", str(out),
+        "--trials", "2", "--lime-samples", "200", "--shap-samples", "200",
+        "--shap-background", "20", "--lpi-samples", "50",
+    ]) == 0
     for kind in ("lr", "gnb"):
-        report = json.loads((outs[0] / f"wide_mixed__{kind}.report.json").read_text())
+        report = json.loads((out / f"wide_mixed__{kind}.report.json").read_text())
         assert len(report["feature_names"]) > 13
         for block in report["per_technique"].values():
             assert len(block["scores"]) == report["test_instances"]
             assert all(np.isfinite(block["scores"]))
-    names = sorted(p.name for p in outs[0].iterdir())
-    assert names == sorted(p.name for p in outs[1].iterdir())
-    for name in names:
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestCategoricalEndToEnd:

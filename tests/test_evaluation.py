@@ -18,9 +18,9 @@ from xplain.evaluation import (
 )
 from xplain.explainers import ExplainerConfig, LimeConfig, LpiConfig, ShapConfig
 from xplain.groundtruth import ground_truth
-from xplain.models import ModelHandle, predict_proba, train_gnb
+from xplain.models import ModelHandle, predict_proba, train_gnb, train_logistic
 
-from conftest import DATASETS_DIR, linear_handle, numeric_dataset
+from conftest import DATASETS_DIR, linear_handle, numeric_dataset, wide_mixed_dataset
 
 
 def brute_force_spearman(a, b):
@@ -110,14 +110,24 @@ class TestEvaluateInstance:
         X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
         ds = numeric_dataset(X)
         handle = linear_handle([1.4, -0.6, 2.2, 0.9, -1.8, 0.3])
-        _, (score,) = evaluate_instance(ds.X_test[1], handle, ["lpi"], "logodds", ds, seed=7)
-        assert score.r == 1.0
+        _, ((score,),) = evaluate_instance(ds.X_test[1:2], handle, ["lpi"], "logodds", ds,
+                                           seeds=[7], instance_indices=[1])
+        assert score.r == 1.0 and score.instance_index == 1
 
     def test_single_feature_too_short(self):
         ds = numeric_dataset(np.linspace(0, 1, 30).reshape(-1, 1))
         handle = linear_handle([2.0])
         with pytest.raises(VectorTooShortError):
-            evaluate_instance(ds.X_test[0], handle, ["lpi"], "logodds", ds)
+            evaluate_instance(ds.X_test[:1], handle, ["lpi"], "logodds", ds,
+                              seeds=[0], instance_indices=[0])
+
+    def test_one_instance_rejected(self):
+        """Only a block (k, n) is accepted; one instance is a block of one."""
+        ds = numeric_dataset(np.random.default_rng(5).normal(0, 1, (40, 3)))
+        handle = linear_handle([1.0, -0.5, 2.0])
+        with pytest.raises(DimensionMismatchError):
+            evaluate_instance(ds.X_test[0], handle, ["lpi"], "logodds", ds,
+                              seeds=[0], instance_indices=[0])
 
 
 class TestSummarize:
@@ -216,16 +226,18 @@ class TestEvaluateDataset:
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_blocks_match_single_instances(self, block, monkeypatch):
         """Blocks of 5 leave a last block of 2 and 64 one short block of 12;
-        every score and ground truth equals the instance's own evaluation."""
+        every score and ground truth equals the instance's own evaluation as
+        a block of one."""
         ds, handle, cfg = self.make()
         monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
         techniques = ["lime", "shap", "lpi"]
         sets = evaluate_dataset(ds, handle, techniques, "probability", cfg, seed=3)
         for k in range(12):
-            gt, scores = evaluate_instance(ds.X_test[k], handle, techniques, "probability", ds,
-                                           cfg, seed=derive_seed(3, k), instance_index=k)
+            (gt,), scores = evaluate_instance(ds.X_test[k : k + 1], handle, techniques,
+                                              "probability", ds, cfg,
+                                              seeds=[derive_seed(3, k)], instance_indices=[k])
             assert np.array_equal(sets[0].ground_truths[k].lam, gt.lam)
-            assert [s.scores[k] for s in sets] == scores
+            assert [s.scores[k] for s in sets] == [score for (score,) in scores]
 
     def test_model_calls_packed(self, monkeypatch):
         """pima under the local-probability benchmark flags: one instance at a
@@ -250,6 +262,27 @@ class TestEvaluateDataset:
         assert max(sizes) <= explainers._BLOCK_ROWS
         assert sizes.count(1000) == 192
         assert len(sizes) == 192 + 51
+
+    def test_wide_mixed_worker_independent(self, tmp_path):
+        """The pool over one-hot groups and sampled KernelSHAP: two workers
+        give the scores and ground truths of one, bit for bit."""
+        ds = wide_mixed_dataset(tmp_path)
+        cfg = ExplainerConfig(
+            lime=LimeConfig(samples=200),
+            shap=ShapConfig(samples=200, background_size=20),
+            lpi=LpiConfig(samples=50),
+        )
+        techniques = ["lime", "shap", "lpi"]
+        for handle in (
+            ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=2, seed=1)),
+            ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train)),
+        ):
+            one, two = (evaluate_dataset(ds, handle, techniques, "logodds", cfg, seed=1,
+                                         workers=workers) for workers in (1, 2))
+            for s1, s2 in zip(one, two, strict=True):
+                assert np.array_equal([x.r for x in s1.scores], [x.r for x in s2.scores])
+            for g1, g2 in zip(one[0].ground_truths, two[0].ground_truths, strict=True):
+                assert np.array_equal(g1.lam, g2.lam) and g1.offset == g2.offset
 
     def test_empty_test_split_rejected(self):
         ds, handle, cfg = self.make()

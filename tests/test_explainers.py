@@ -1,4 +1,3 @@
-import importlib.util
 import math
 
 import numpy as np
@@ -30,7 +29,7 @@ from xplain.models import (
     train_logistic,
 )
 
-from conftest import DATASETS_DIR, SRC_DIR, linear_handle, numeric_dataset
+from conftest import DATASETS_DIR, linear_handle, numeric_dataset, wide_mixed_dataset
 
 
 def unit_std_dataset(n=6, m=500, seed=0):
@@ -524,18 +523,6 @@ class TestGnbAdditiveOracle:
         e = explain_lpi(handle, x, ds, seed=2)
         assert e.sample_count == ds.X_train.shape[0]
         assert np.max(np.abs(e.phi - closed)) < 1e-9
-
-
-def wide_mixed_dataset(tmp_path, seed=1):
-    """The benchmark's generated mixed-type table (19 encoded columns, one-hot
-    groups), standardized."""
-    spec = importlib.util.spec_from_file_location(
-        "widemixed", SRC_DIR.parent / "perfbench" / "widemixed.py")
-    widemixed = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(widemixed)
-    config = data.DatasetConfig.from_json(widemixed.generate(seed, tmp_path))
-    ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
-    return ds
 
 
 def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
