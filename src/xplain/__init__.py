@@ -26,6 +26,7 @@ from .evaluation import (
     evaluate_dataset,
     evaluate_instance,
     rank_techniques,
+    report_set,
     spearman,
 )
 from .explainers import (

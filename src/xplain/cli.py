@@ -15,12 +15,17 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import models as models_mod
-from .errors import IndexOutOfRangeError, VectorTooShortError, XplainError
+from .errors import (
+    IndexOutOfRangeError,
+    UnknownTechniqueError,
+    VectorTooShortError,
+    XplainError,
+)
 from .evaluation import (
-    DatasetScoreSet,
     derive_seed,
     evaluate_dataset,
-    rank_techniques,
+    rank_techniques,  # noqa: F401 - unused; perfbench/spans.py patches cli.rank_techniques
+    report_set,
     spearman,
 )
 from .explainers import (
@@ -129,26 +134,12 @@ def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _score_set_dict(s: DatasetScoreSet) -> dict:
-    return {
-        "scores": [score.r for score in s.scores],
-        "median": s.median,
-        "q1": s.q1,
-        "q3": s.q3,
-        "whisker_low": s.whisker_low,
-        "whisker_high": s.whisker_high,
-        "degenerate_count": s.degenerate_count,
-        "significant_count": s.significant_count,
-    }
-
-
-def _print_rank_table(tables: dict[str, object], techniques: list[str]):
-    models = list(tables)
+def _print_rank_table(models: dict[str, dict], techniques: list[str]):
     width = max(len(t) for t in techniques) + 2
     print("Average rank by technique (lower is better)")
     print(" " * width + "".join(f"{m:>10}" for m in models))
     for t in techniques:
-        row = "".join(f"{tables[m].average[t]:>10.3f}" for m in models)
+        row = "".join(f"{models[m]['average_ranks'][t]:>10.3f}" for m in models)
         print(f"{t:<{width}}" + row)
 
 
@@ -172,9 +163,7 @@ def cmd_evaluate(args) -> int:
     except OSError as exc:
         raise XplainError(f"cannot create --out directory {out_dir}: {exc.strerror}") from None
 
-    # score_sets[kind] -> list of DatasetScoreSet across datasets
-    score_sets: dict[str, list[DatasetScoreSet]] = {k: [] for k in model_kinds}
-    reports: list[tuple[Path, dict]] = []
+    cells = []  # (dataset, model kind, score sets) per evaluated cell
     first_config: dict[str, str] = {}  # dataset name -> the config that claimed it
     failed = False
 
@@ -214,7 +203,7 @@ def cmd_evaluate(args) -> int:
             )
             if sets is None:
                 continue
-            score_sets[kind].extend(sets)
+            cells.append((dataset, kind, sets))
             for s in sets:
                 if s.degenerate_count:
                     print(
@@ -222,89 +211,42 @@ def cmd_evaluate(args) -> int:
                         f"correlation(s) for {s.technique} under {kind}",
                         file=sys.stderr,
                     )
-            dataset_ranks = rank_techniques(sets).per_dataset[name]
-            gt_block = [
-                {
-                    "instance": k,
-                    "offset": gt.offset,
-                    "values": [
-                        {"feature": f, "value": float(v)}
-                        for f, v in zip(dataset.feature_names, gt.lam)
-                    ],
-                }
-                for k, gt in enumerate(sets[0].ground_truths)
-            ]
-            report = {
-                "dataset": name,
-                "model": kind,
-                "preprocess": PREPROCESS_FLAGS[args.preprocess],
-                "target_space": args.target,
-                "seed": args.seed,
-                "feature_names": list(dataset.feature_names),
-                "test_instances": int(dataset.X_test.shape[0]),
-                "per_technique": {s.technique: _score_set_dict(s) for s in sets},
-                "ranks": dataset_ranks,
-                "ground_truth": gt_block,
-            }
-            reports.append((out_dir / f"{name}__{kind}.report.json", report))
             print(f"[{name}] {kind}: evaluated {len(techniques)} technique(s)",
                   file=sys.stderr)
 
-    # cross-dataset rank tables per model, over datasets with complete cells
-    tables = {}
-    for kind in model_kinds:
-        if score_sets[kind]:
-            try:
-                tables[kind] = rank_techniques(score_sets[kind])
-            except ValueError as exc:
-                print(f"error: rank table for {kind}: {exc}", file=sys.stderr)
-                failed = True
+    reports, rank_table, box_rows = report_set(
+        cells, PREPROCESS_FLAGS[args.preprocess], args.target, args.seed
+    )
+    try:
+        for file_name, report in reports.items():
+            path = out_dir / file_name
+            _json_dump(report, path)
+        path = out_dir / "rank_table.json"
+        _json_dump(rank_table, path)
+        path = out_dir / "box_plot.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(box_rows)
+    except OSError as exc:
+        raise XplainError(f"cannot write {path}: {exc.strerror}") from None
 
-    for path, report in reports:
-        report["average_ranks"] = (
-            tables[report["model"]].average if report["model"] in tables else {}
-        )
-        _json_dump(report, path)
-
-    rank_payload = {
-        "preprocess": PREPROCESS_FLAGS[args.preprocess],
-        "target_space": args.target,
-        "seed": args.seed,
-        "models": {
-            kind: {
-                "per_dataset": tables[kind].per_dataset,
-                "average_ranks": tables[kind].average,
-                "std_ranks": tables[kind].std,
-            }
-            for kind in tables
-        },
-    }
-    _json_dump(rank_payload, out_dir / "rank_table.json")
-
-    with open(out_dir / "box_plot.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "model", "technique", "instance", "r"])
-        for kind in model_kinds:
-            for s in score_sets[kind]:
-                for score in s.scores:
-                    writer.writerow(
-                        [s.dataset_id, kind, s.technique, score.instance_index,
-                         repr(score.r)]
-                    )
-
-    if tables:
-        _print_rank_table(tables, techniques)
+    if rank_table["models"]:
+        _print_rank_table(rank_table["models"], techniques)
     return 1 if failed else 0
 
 
 def cmd_explain(args) -> int:
     dataset, spec = _prepare(args.dataset, args.preprocess)
-    handle = _train(args.model, dataset, spec, args)
+    # checked before training, which runs up to --trials fits
+    if args.technique not in (*TECHNIQUES, "groundtruth"):
+        raise UnknownTechniqueError(
+            f"unknown technique {args.technique!r}; expected lime, shap, lpi or groundtruth"
+        )
     m = dataset.X_test.shape[0]
     if not 0 <= args.index < m:
         raise IndexOutOfRangeError(
             f"index {args.index} outside the test split (size {m})"
         )
+    handle = _train(args.model, dataset, spec, args)
     x = dataset.X_test[args.index]
     gt = ground_truth(handle, x)
     if args.technique == "groundtruth":

@@ -56,7 +56,7 @@ class DatasetConfig:
     def from_json(path: str | Path) -> "DatasetConfig":
         path = Path(path)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidConfigError(f"{path}: not a JSON object ({exc})") from None
@@ -80,6 +80,13 @@ class DatasetConfig:
         csv_path = Path(value("csv_path", is_str, "a string"))
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
+        # reports are written to <out>/<name>__<model>.report.json
+        name = value("name", is_str, "a string", path.stem)
+        if "/" in name or "\0" in name or name in ("", ".", ".."):
+            raise InvalidConfigError(
+                f"{path}: 'name' must be one file-name component (no '/' or NUL, "
+                f"not '', '.' or '..'), got {name!r}"
+            )
         cats = value("categorical_columns",
                      lambda v: v is None or isinstance(v, list) and all(map(is_str, v)),
                      "a list of column names")
@@ -94,7 +101,7 @@ class DatasetConfig:
             ),
             seed=value("seed", lambda v: isinstance(v, int) and v >= 0,
                        "a non-negative integer", 0),
-            name=value("name", is_str, "a string", path.stem),
+            name=name,
         )
 
 
@@ -258,7 +265,7 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
     lines: list[int] = []  # the CSV line each record ends on
     records: list[list[str]] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader)
             for row in reader:

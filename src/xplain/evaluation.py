@@ -4,7 +4,8 @@ One score per (instance, technique): Spearman correlation between the
 explanation vector and the instance's analytic attribution vector, which is
 computed once per instance. Scores aggregate to a per-dataset median and,
 across datasets, to per-technique average ranks
-(rank 1 = highest median, lower average rank = better).
+(rank 1 = highest median, lower average rank = better). report_set turns an
+evaluated grid into the report files' contents.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .data import Dataset
 from .errors import DimensionMismatchError, VectorTooShortError
 from .explainers import ExplainerConfig, explain
 from .groundtruth import GroundTruth, ground_truth
-from .models import ModelHandle
+from .models import GAUSSIAN_NB, LOGISTIC, ModelHandle
 
 SIGNIFICANT_CORRELATION = 0.7
 
@@ -36,7 +37,6 @@ MEDIAN_TIE_DIGITS = 12
 class CorrelationScore:
     r: float
     degenerate: bool = False
-    instance_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(
-    phi: np.ndarray, lam: np.ndarray, instance_index: int | None = None
-) -> CorrelationScore:
+def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore:
     """Spearman rank correlation with fractional ranks for ties.
 
     A rank-constant vector on either side yields r = 0 with the degenerate
@@ -103,9 +101,9 @@ def spearman(
     va = float(da @ da)
     vb = float(db @ db)
     if va == 0.0 or vb == 0.0:
-        return CorrelationScore(r=0.0, degenerate=True, instance_index=instance_index)
+        return CorrelationScore(r=0.0, degenerate=True)
     r = float(da @ db) / float(np.sqrt(va * vb))
-    return CorrelationScore(r=r, degenerate=False, instance_index=instance_index)
+    return CorrelationScore(r=r, degenerate=False)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -122,9 +120,8 @@ def evaluate_instance(
     config: ExplainerConfig | None = None,
     *,
     seeds: Sequence[int],
-    instance_indices: Sequence[int],
 ) -> tuple[list[GroundTruth], list[list[CorrelationScore]]]:
-    """A block of k instances X (k, n) with k seeds and k indices: the ground
+    """A block of k instances X (k, n) with k seeds: the ground
     truth of each instance, extracted once, and per technique (in order) the
     Spearman score of each instance's explanation against it. Each technique
     explains the whole block in one explain() call."""
@@ -134,8 +131,7 @@ def evaluate_instance(
     scores = []
     for technique in techniques:
         phi = explain(technique, target_space, model, X, dataset, config, seeds).phi
-        scores.append([spearman(p, gt.lam, instance_index=k)
-                       for p, gt, k in zip(phi, gts, instance_indices, strict=True)])
+        scores.append([spearman(p, gt.lam) for p, gt in zip(phi, gts, strict=True)])
     return gts, scores
 
 
@@ -192,7 +188,6 @@ def evaluate_dataset(
             dataset,
             config,
             seeds=[derive_seed(seed, k) for k in ks],
-            instance_indices=list(ks),
         )
 
     starts = range(0, m, INSTANCE_BLOCK)
@@ -247,3 +242,63 @@ def rank_techniques(score_sets: list[DatasetScoreSet]) -> RankTable:
         average=average,
         std=std,
     )
+
+
+def _score_set_dict(s: DatasetScoreSet) -> dict:
+    return {
+        "scores": [score.r for score in s.scores],
+        "median": s.median,
+        "q1": s.q1,
+        "q3": s.q3,
+        "whisker_low": s.whisker_low,
+        "whisker_high": s.whisker_high,
+        "degenerate_count": s.degenerate_count,
+        "significant_count": s.significant_count,
+    }
+
+
+def report_set(
+    cells: Sequence[tuple[Dataset, str, list[DatasetScoreSet]]],
+    preprocess: str,
+    target_space: str,
+    seed: int,
+) -> tuple[dict[str, dict], dict, list[list]]:
+    """The report files of an evaluated grid. Each cell is (dataset, model kind,
+    evaluate_dataset's score sets for it); every cell holds the same techniques
+    in the same order, and no (dataset, model) repeats. Returns the reports keyed
+    by file name, the rank_table.json payload and the box_plot.csv rows, header
+    first. Rank tables and box rows list models in the order lr, gnb."""
+    by_kind: dict[str, list[DatasetScoreSet]] = {LOGISTIC: [], GAUSSIAN_NB: []}
+    for _, kind, sets in cells:
+        by_kind[kind].extend(sets)
+    tables = {kind: rank_techniques(sets) for kind, sets in by_kind.items() if sets}
+    run = {"preprocess": preprocess, "target_space": target_space, "seed": seed}
+
+    reports = {}
+    for dataset, kind, sets in cells:
+        name = dataset.name
+        reports[f"{name}__{kind}.report.json"] = {
+            **run,
+            "dataset": name,
+            "model": kind,
+            "feature_names": list(dataset.feature_names),
+            "test_instances": int(dataset.X_test.shape[0]),
+            "per_technique": {s.technique: _score_set_dict(s) for s in sets},
+            "ranks": tables[kind].per_dataset[name],
+            "average_ranks": tables[kind].average,
+            "ground_truth": [
+                {"instance": k, "offset": gt.offset,
+                 "values": [{"feature": f, "value": float(v)}
+                            for f, v in zip(dataset.feature_names, gt.lam)]}
+                for k, gt in enumerate(sets[0].ground_truths)
+            ],
+        }
+    rank_table = {**run, "models": {
+        kind: {"per_dataset": t.per_dataset, "average_ranks": t.average, "std_ranks": t.std}
+        for kind, t in tables.items()
+    }}
+    box_rows: list[list] = [["dataset", "model", "technique", "instance", "r"]]
+    box_rows += [[s.dataset_id, kind, s.technique, k, repr(score.r)]
+                 for kind, sets in by_kind.items()
+                 for s in sets for k, score in enumerate(s.scores)]
+    return reports, rank_table, box_rows

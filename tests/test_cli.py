@@ -234,6 +234,12 @@ def bad_configs(tmp_path):
         ("label_null", "positive_label", None),
         ("label_float", "positive_label", 1.0),
         ("label_list", "positive_label", [1]),
+        ("name_escapes", "name", "../escaped"),
+        ("name_slash", "name", "a/b"),
+        ("name_empty", "name", ""),
+        ("name_dot", "name", "."),
+        ("name_dotdot", "name", ".."),
+        ("name_nul", "name", "a\0b"),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**iris, key: value}))
     header, first, *rest = (DATASETS_DIR / "iris_binary.csv").read_text().splitlines()
@@ -317,6 +323,11 @@ def bad_configs(tmp_path):
     ["train", "--dataset", "IRIS", "--model", "gnb", "--trials", "0"],
     ["explain", "--dataset", "IRIS", "--model", "gnb", "--technique", "lpi",
      "--index", "0", "--trials", "-3"],
+    ["evaluate", "--dataset", "BAD/name_escapes.json", "--model", "gnb",
+     "--out", "BAD/out1/sub"],
+    ["train", "--dataset", "BAD/name_slash.json", "--model", "gnb", "--out", "BAD/m.json"],
+    ["explain", "--dataset", "BAD/name_dotdot.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -337,6 +348,7 @@ def bad_configs(tmp_path):
     "evaluate-repeated-technique", "train-bool-positive-label",
     "explain-null-positive-label", "evaluate-float-positive-label",
     "train-list-positive-label", "train-gnb-trials-0", "explain-gnb-negative-trials",
+    "evaluate-name-escapes-out", "train-name-with-slash", "explain-name-dotdot",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
@@ -374,6 +386,56 @@ def test_missing_config_key_named(bad_configs, tmp_path, capsys):
         f"error: dataset 'empty' failed at stage data: {bad_configs / 'empty.json'}: "
         "missing required key 'csv_path'\n"
     )
+
+
+@pytest.mark.parametrize("stem", ["name_escapes", "name_slash", "name_empty", "name_dot",
+                                  "name_dotdot", "name_nul"])
+def test_dataset_name_stays_inside_out(stem, bad_configs, tmp_path, capsys):
+    """Reports are written to <out>/<name>__<model>.report.json, so a name that
+    is not one file-name component is rejected at stage data, naming the file
+    and the key, and nothing is written outside --out."""
+    out = tmp_path / "out1" / "sub"
+    config = bad_configs / f"{stem}.json"
+    code = cli.main(["evaluate", "--dataset", str(config), "--model", "gnb",
+                     "--technique", "lpi", "--out", str(out), *FAST_FLAGS])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: dataset {stem!r} failed at stage data: {config}: 'name' ")
+    assert [p.name for p in (tmp_path / "out1").iterdir()] == ["sub"]
+    assert sorted(p.name for p in out.iterdir()) == ["box_plot.csv", "rank_table.json"]
+
+
+def test_byte_order_marks_accepted(tmp_path):
+    """A config JSON and a CSV that start with a UTF-8 byte-order mark give the
+    same report bytes as the plain files."""
+    bom = "\ufeff"
+    csv_text = (DATASETS_DIR / "iris_binary.csv").read_text(encoding="utf-8")
+    (tmp_path / "iris_binary.csv").write_text(bom + csv_text, encoding="utf-8")
+    config_text = (DATASETS_DIR / "iris_binary.json").read_text(encoding="utf-8")
+    (tmp_path / "iris_binary.json").write_text(bom + config_text, encoding="utf-8")
+    outs = {}
+    for label, config in [("plain", ds_config("iris_binary")),
+                          ("bom", str(tmp_path / "iris_binary.json"))]:
+        outs[label] = tmp_path / label
+        assert cli.main(["evaluate", "--dataset", config, "--model", "both",
+                         "--technique", "lime,lpi", "--out", str(outs[label]),
+                         *FAST_FLAGS]) == 0
+    plain, with_bom = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs.values())
+    assert len(plain) == 4 and plain == with_bom
+
+
+@pytest.mark.parametrize("blocked", ["iris_binary__gnb.report.json", "rank_table.json",
+                                     "box_plot.csv"])
+def test_failed_report_write_one_line_error(blocked, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = cli.main(["evaluate", "--dataset", ds_config("iris_binary"), "--model", "gnb",
+                     "--technique", "lpi", "--out", str(out), *FAST_FLAGS])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == f"error: cannot write {out / blocked}: Is a directory"
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_one_feature_dataset_fails_its_data_stage(tmp_path, capsys):
@@ -444,7 +506,8 @@ def test_benchmark_tracer_installs(tmp_path):
     # every traced name stays on the evaluation path
     explained = {s[attrs]["technique"] for s in spans if s[name] == "explainers.explain"}
     assert explained == {"lime", "shap", "lpi"}
-    assert {"evaluation.evaluate_instance", "groundtruth.ground_truth",
+    assert {"evaluation.evaluate_instance", "evaluation.evaluate_dataset",
+            "evaluation.spearman", "groundtruth.ground_truth",
             "models.predict_logodds"} <= {s[name] for s in spans}
 
 
@@ -495,16 +558,33 @@ class TestExplain:
         payload = json.loads(capsys.readouterr().out)
         assert "base_value" in payload
 
-    def test_index_out_of_range(self, capsys):
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        """The arguments of every cli._train call."""
+        calls = []
+        train = cli._train
+
+        def spy(*args):
+            calls.append(args)
+            return train(*args)
+
+        monkeypatch.setattr(cli, "_train", spy)
+        return calls
+
+    def test_index_out_of_range(self, capsys, train_calls):
         code = cli.main([
             "explain", "--dataset", ds_config("iris_binary"),
             "--model", "lr", "--technique", "lime",
             "--index", "1000000000", *FAST_FLAGS,
         ])
         assert code == 1
+        assert train_calls == []  # checked before the LR search runs
 
-    def test_unknown_technique(self):
+    def test_unknown_technique(self, capsys, train_calls):
         assert run_explain(["--technique", "anchors"]) == 1
+        assert train_calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown technique 'anchors'"), err
 
     def test_lpi_absolute_flag(self, capsys):
         assert run_explain(["--technique", "lpi", "--lpi-absolute"]) == 0

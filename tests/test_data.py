@@ -52,6 +52,13 @@ class TestLoadCsv:
         assert table.columns[0].kind == "categorical"
         assert table.columns[0].categories == ("red", "green", "blue")
 
+    def test_byte_order_mark_left_out_of_header(self, csv_dir):
+        path = csv_dir / "t.csv"
+        path.write_text("\ufefflabel,a,b\nyes,1.0,2.0\nno,3.0,4.0\n", encoding="utf-8")
+        table = data.load_csv(path, cfg_for(path))
+        assert [c.name for c in table.columns] == ["a", "b"]
+        assert table.labels.tolist() == [1, 0]
+
     def test_missing_file(self, csv_dir):
         with pytest.raises(FileNotFoundError):
             data.load_csv(csv_dir / "absent.csv", cfg_for(csv_dir / "absent.csv"))

@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from xplain import data, evaluation, explainers
+from xplain import cli, data, evaluation, explainers
 from xplain.errors import DimensionMismatchError, VectorTooShortError
 from xplain.evaluation import (
     CorrelationScore,
@@ -13,6 +16,7 @@ from xplain.evaluation import (
     evaluate_instance,
     fractional_ranks,
     rank_techniques,
+    report_set,
     spearman,
     summarize_scores,
 )
@@ -111,23 +115,21 @@ class TestEvaluateInstance:
         ds = numeric_dataset(X)
         handle = linear_handle([1.4, -0.6, 2.2, 0.9, -1.8, 0.3])
         _, ((score,),) = evaluate_instance(ds.X_test[1:2], handle, ["lpi"], "logodds", ds,
-                                           seeds=[7], instance_indices=[1])
-        assert score.r == 1.0 and score.instance_index == 1
+                                           seeds=[7])
+        assert score.r == 1.0
 
     def test_single_feature_too_short(self):
         ds = numeric_dataset(np.linspace(0, 1, 30).reshape(-1, 1))
         handle = linear_handle([2.0])
         with pytest.raises(VectorTooShortError):
-            evaluate_instance(ds.X_test[:1], handle, ["lpi"], "logodds", ds,
-                              seeds=[0], instance_indices=[0])
+            evaluate_instance(ds.X_test[:1], handle, ["lpi"], "logodds", ds, seeds=[0])
 
     def test_one_instance_rejected(self):
         """Only a block (k, n) is accepted; one instance is a block of one."""
         ds = numeric_dataset(np.random.default_rng(5).normal(0, 1, (40, 3)))
         handle = linear_handle([1.0, -0.5, 2.0])
         with pytest.raises(DimensionMismatchError):
-            evaluate_instance(ds.X_test[0], handle, ["lpi"], "logodds", ds,
-                              seeds=[0], instance_indices=[0])
+            evaluate_instance(ds.X_test[0], handle, ["lpi"], "logodds", ds, seeds=[0])
 
 
 class TestSummarize:
@@ -189,7 +191,7 @@ class TestEvaluateDataset:
     def test_scores_indexed_by_instance(self):
         ds, handle, cfg = self.make()
         (s,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=1)
-        assert [x.instance_index for x in s.scores] == list(range(12))
+        assert len(s.scores) == 12
         assert s.median == np.median([x.r for x in s.scores])
 
     def test_ground_truth_once_per_instance(self, monkeypatch):
@@ -235,7 +237,7 @@ class TestEvaluateDataset:
         for k in range(12):
             (gt,), scores = evaluate_instance(ds.X_test[k : k + 1], handle, techniques,
                                               "probability", ds, cfg,
-                                              seeds=[derive_seed(3, k)], instance_indices=[k])
+                                              seeds=[derive_seed(3, k)])
             assert np.array_equal(sets[0].ground_truths[k].lam, gt.lam)
             assert [s.scores[k] for s in sets] == [score for (score,) in scores]
 
@@ -339,6 +341,91 @@ class TestRankTechniques:
         r1 = spearman(phi, lam).r
         r2 = spearman(123.456 * phi, lam).r
         assert r1 == r2
+
+
+def small_cell(name: str, kind: str, m: int):
+    """A 4-feature dataset with m test instances, one model of the given kind
+    and its evaluated score sets for lime and lpi."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(0, 1, (80, 4))
+    y = (rng.random(80) < 0.5).astype(int)
+    y[:2] = [0, 1]
+    X[y == 1] += 0.7
+    ds = numeric_dataset(X, X_test=X[:m], y_train=y, y_test=y[:m], name=name)
+    if kind == "lr":
+        handle = linear_handle([0.8, -0.4, 1.1, 0.3])
+    else:
+        handle = ModelHandle("gnb", train_gnb(X, y))
+    cfg = ExplainerConfig(lime=LimeConfig(samples=100), lpi=LpiConfig(samples=20))
+    return ds, kind, evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=2)
+
+
+class TestReportSet:
+    def test_matches_cli_files_byte_for_byte(self, tmp_path):
+        """On evaluate_dataset's results under criterion 9's flags, report_set's
+        output, dumped as the CLI dumps it, equals the CLI's files."""
+        names = ["iris_binary", "haberman"]
+        techniques = ["lime", "shap", "lpi"]
+        out = tmp_path / "out"
+        argv = ["evaluate", "--model", "both", "--technique", ",".join(techniques),
+                "--seed", "7", "--trials", "5", "--lime-samples", "400",
+                "--shap-samples", "400", "--out", str(out)]
+        for name in names:
+            argv += ["--dataset", str(DATASETS_DIR / f"{name}.json")]
+        assert cli.main(argv) == 0
+
+        cfg = ExplainerConfig(lime=LimeConfig(samples=400), shap=ShapConfig(samples=400))
+        cells = []
+        for name in names:
+            config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
+            ds, spec = data.preprocess_dataset(data.load_dataset(config), "standardize")
+            for kind in ("lr", "gnb"):
+                if kind == "lr":
+                    model = train_logistic(ds.X_train, ds.y_train, search_trials=5, seed=7)
+                else:
+                    model = train_gnb(ds.X_train, ds.y_train)
+                handle = ModelHandle(kind, model, spec)
+                sets = evaluate_dataset(ds, handle, techniques, "logodds", cfg, seed=7)
+                cells.append((ds, kind, sets))
+        reports, rank_table, box_rows = report_set(cells, "standardize", "logodds", 7)
+
+        def dump(obj):
+            return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+        box = io.StringIO()
+        csv.writer(box).writerows(box_rows)
+        expected = {name: dump(report) for name, report in reports.items()}
+        expected["rank_table.json"] = dump(rank_table)
+        expected["box_plot.csv"] = box.getvalue().encode()
+        assert len(expected) == 6
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
+    def test_box_rows_number_instances_per_cell(self):
+        cells = [small_cell("a", "gnb", 7), small_cell("b", "gnb", 5)]
+        _, _, (header, *rows) = report_set(cells, "standardize", "logodds", 2)
+        assert header == ["dataset", "model", "technique", "instance", "r"]
+        for dataset, m in [("a", 7), ("b", 5)]:
+            for technique in ("lime", "lpi"):
+                assert [row[3] for row in rows
+                        if row[0] == dataset and row[2] == technique] == list(range(m))
+        assert len(rows) == 2 * (7 + 5)
+
+    def test_models_ordered_lr_then_gnb_when_lr_fails_first(self):
+        """Dataset a has no lr cell, as when its lr fit failed; tables and box
+        rows still list lr first, and each report's ranks are its model's
+        table row for its dataset."""
+        cells = [small_cell("a", "gnb", 4), small_cell("b", "lr", 3), small_cell("b", "gnb", 3)]
+        reports, rank_table, (_, *rows) = report_set(cells, "standardize", "logodds", 2)
+        assert list(reports) == ["a__gnb.report.json", "b__lr.report.json",
+                                 "b__gnb.report.json"]
+        assert list(rank_table["models"]) == ["lr", "gnb"]
+        assert [(row[0], row[1]) for row in rows] == (
+            [("b", "lr")] * 6 + [("a", "gnb")] * 8 + [("b", "gnb")] * 6)
+        assert list(rank_table["models"]["lr"]["per_dataset"]) == ["b"]
+        for report in reports.values():
+            table = rank_table["models"][report["model"]]
+            assert report["ranks"] == table["per_dataset"][report["dataset"]]
+            assert report["average_ranks"] == table["average_ranks"]
 
 
 def test_derive_seed_deterministic():
