@@ -17,6 +17,7 @@ from . import data as data_mod
 from . import models as models_mod
 from .errors import (
     IndexOutOfRangeError,
+    InvalidCsvError,
     UnknownTechniqueError,
     VectorTooShortError,
     XplainError,
@@ -102,10 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare(config_path: str, preprocess_flag: str, scored: bool = True):
-    """The preprocessed dataset and its spec. A dataset to be scored needs two
-    features: Spearman's rank correlation of one value is undefined."""
+    """The preprocessed dataset and its spec. A model needs a feature column
+    besides the target, and a dataset to be scored needs two: Spearman's rank
+    correlation of one value is undefined."""
     config = data_mod.DatasetConfig.from_json(config_path)
     dataset = data_mod.load_dataset(config)
+    if dataset.n_features < 1:
+        raise InvalidCsvError(
+            f"{config.csv_path}: no feature column besides the target "
+            f"{config.target_column!r}; training a model needs at least 1"
+        )
     if scored and dataset.n_features < 2:
         raise VectorTooShortError(
             f"{config.csv_path}: {dataset.n_features} feature column(s); scoring an "

@@ -33,7 +33,8 @@ PREPROCESS_KINDS = ("standardize", "minmax", "interquartile")
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One pre-encoding column: its name, kind and (for categoricals) vocabulary."""
+    """One column: its name, kind and, once encode_onehot has fitted it on the
+    training rows, a categorical column's vocabulary."""
 
     name: str
     kind: str
@@ -58,7 +59,7 @@ class DatasetConfig:
         try:
             with open(path, encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, nested too deep
             raise InvalidConfigError(f"{path}: not a JSON object ({exc})") from None
         except OSError as exc:  # missing, a directory, unreadable
             raise InvalidConfigError(f"{path}: cannot read ({exc.strerror})") from None
@@ -196,24 +197,6 @@ class Dataset:
         slots += [(np.array(g.indices), g) for g in self.groups]
         return tuple(sorted(slots, key=lambda slot: slot[0].min()))
 
-    @cached_property
-    def slot_train_stats(self) -> tuple[float | np.ndarray, ...]:
-        """Per slot, in slots order, the training spread LIME samples from: a
-        numeric column's std (ddof=1; 0.0 with fewer than two training rows)
-        or a group's training category frequencies, normalized to sum to 1.
-        Computed once per dataset and shared, so the arrays are read-only."""
-        stats: list[float | np.ndarray] = []
-        for cols, group in self.slots:
-            if group is None:
-                col = self.X_train[:, cols[0]]
-                stats.append(float(col.std(ddof=1)) if len(col) > 1 else 0.0)
-            else:
-                freqs = self.X_train[:, cols].mean(axis=0)
-                freqs = freqs / freqs.sum()
-                freqs.flags.writeable = False
-                stats.append(freqs)
-        return tuple(stats)
-
 
 @dataclass(frozen=True)
 class PreprocessSpec:
@@ -251,17 +234,15 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
     must be a header column); otherwise a column is numeric iff at least one of
     its cells is a finite number, so a column with no such cell is categorical
     and a stray text cell in a numeric column is an error, not a new category.
-    Categorical vocabularies are recorded in first-appearance order over the
-    whole file (they are re-fitted on training rows during encoding). A
+    Categorical vocabularies are fitted on training rows during encoding. A
     duplicate header name, a row whose cell count differs from the header's, or
     a numeric cell that is not a finite number raises InvalidCsvError naming
-    the file, CSV line, column and cell. A missing file raises
-    FileNotFoundError; one that cannot be read (a directory, no permission)
-    raises InvalidCsvError.
+    the file, CSV line, column and cell; a line the csv module cannot parse
+    (a cell longer than csv.field_size_limit(), say) one naming the file and
+    line. A missing file raises FileNotFoundError; one that cannot be read (a
+    directory, no permission, a name too long) raises InvalidCsvError.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
     lines: list[int] = []  # the CSV line each record ends on
     records: list[list[str]] = []
     try:
@@ -276,7 +257,11 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
         raise NonBinaryTargetError(f"{path}: empty file") from None
     except UnicodeDecodeError as exc:
         raise InvalidCsvError(f"{path}: not UTF-8 text ({exc})") from None
-    except OSError as exc:  # a directory, unreadable
+    except csv.Error as exc:  # a cell over the csv module's field size limit, say
+        raise InvalidCsvError(f"{path}: line {reader.line_num}: {exc}") from None
+    except FileNotFoundError:
+        raise FileNotFoundError(f"dataset file not found: {path}") from None
+    except OSError as exc:  # a directory, unreadable, a name too long
         raise InvalidCsvError(f"{path}: cannot read ({exc.strerror})") from None
 
     for j, name in enumerate(header):
@@ -325,15 +310,8 @@ def load_csv(path: str | Path, config: DatasetConfig) -> RawTable:
             if all(_finite_number(row[j]) is None for row in cells)
         }
 
-    columns = []
-    for j, name in enumerate(feature_names):
-        if name in categorical:
-            seen: dict[str, None] = {}
-            for row in cells:
-                seen.setdefault(row[j].strip(), None)
-            columns.append(ColumnSpec(name, CATEGORICAL, tuple(seen)))
-        else:
-            columns.append(ColumnSpec(name, NUMERIC))
+    columns = [ColumnSpec(name, CATEGORICAL if name in categorical else NUMERIC)
+               for name in feature_names]
 
     rows = []
     for line, row in zip(lines, cells):
@@ -412,7 +390,7 @@ def split(table: RawTable, test_fraction: float = 0.25, seed: int = 0) -> SplitT
 def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
     """Expand categorical columns into one binary column per training category.
 
-    Vocabularies are re-fitted on training rows in first-appearance order. A
+    Vocabularies are fitted on training rows in first-appearance order. A
     test category never seen in training encodes as an all-zero group and is
     counted in the returned dataset's unseen_category_count.
     """

@@ -135,6 +135,8 @@ def _shaped_like(x, phi: np.ndarray, sample_count: int, base=None) -> Explanatio
 
 def _score_packed(f, pieces):
     """f of each piece of rows (a 2-D array), yielded in the order given.
+    SHAP and LPI score their rows through it; LIME's S-row piece per
+    instance is one call of its own.
 
     A piece of at most _PACK_ROWS rows costs less to score than a call's
     fixed cost (12-17 us, about as much as scoring 300 rows), so consecutive
@@ -143,10 +145,8 @@ def _score_packed(f, pieces):
     drawn, while its rows are still in cache: a shared call saved it less
     than holding it for the next piece and copying it into the call cost.
     Packing pieces of up to 1,024 rows made the grid's LPI (576-1,029-row
-    pieces) 13 % slower and, with 2,000-row LIME pieces in pairs, raised
-    wide-mixed's peak RSS by 2.9 MB. Pieces are drawn only as a call fills,
-    so at most one call's pieces, its buffer and one more piece are held at
-    a time.
+    pieces) 13 % slower. Pieces are drawn only as a call fills, so at most
+    one call's pieces, its buffer and one more piece are held at a time.
 
     4,096 rows of 19 columns take about 620 KB, so a call's rows and the
     scorer's temporary of the same size fit in a 2 MB per-core L2 cache;
@@ -197,7 +197,7 @@ def explain_lime(
     Euclidean distance over train-std-scaled numeric coordinates plus a
     mismatch indicator per categorical group. No discretization is applied,
     and all n coefficients are returned. Each instance of a block has its own
-    perturbations and ridge solve; only the model calls are shared.
+    perturbations, model call and ridge solve.
     """
     cfg = (config or ExplainerConfig()).lime
     X, seeds = _as_block(x, seed)
@@ -205,51 +205,47 @@ def explain_lime(
     S = cfg.samples
     kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * math.sqrt(n)
     draws = _lime_draws(dataset)
-    # (Z, weights) per instance, queued by perturbations() before Z is scored
-    pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
-
-    def perturbations():
-        for x, seed in zip(X, seeds):
-            rng = np.random.default_rng([_RNG_TAG[LIME], seed])
-            Z = np.empty((S, n), order="F")
-            Z[:] = x
-            ZT = Z.T  # one contiguous row per column
-            # one row of distance terms per slot; a column without spread adds 0
-            dist = np.zeros((len(dataset.slots), S))
-            for slots, cols, stat in draws:
-                if stat.ndim == 2:
-                    # Normal(x_j, std_j) as rng.normal draws it, column after column
-                    loc = x[cols, None]
-                    drawn = loc + stat * rng.standard_normal((len(cols), S))
-                    ZT[cols] = drawn
-                    dist[slots] = ((drawn - loc) / stat) ** 2
-                else:
-                    cats = rng.choice(len(cols), size=S, p=stat)
-                    ZT[cols] = 0.0
-                    Z[np.arange(S), cols[cats]] = 1.0
-                    dist[slots] = np.any(ZT[cols] != x[cols, None], axis=0)
-            d2 = dist.sum(axis=0)  # slot after slot
-
-            with np.errstate(divide="ignore"):
-                weights = np.exp(-d2 / kernel_width**2)
-            if np.max(weights) < 1e-30:
-                raise DegenerateWeightsError("all perturbation weights are numerically zero")
-            pending.append((Z, weights))
-            yield Z
-
+    f = _target_fn(model, target_space)
     phi = np.empty((len(X), n))
-    for i, y in enumerate(_score_packed(_target_fn(model, target_space), perturbations())):
-        phi[i] = _weighted_ridge(*pending.popleft(), y)
+    for i, (row, row_seed) in enumerate(zip(X, seeds)):
+        rng = np.random.default_rng([_RNG_TAG[LIME], row_seed])
+        Z = np.empty((S, n), order="F")
+        Z[:] = row
+        ZT = Z.T  # one contiguous row per column
+        # one row of distance terms per slot; a column without spread adds 0
+        dist = np.zeros((len(dataset.slots), S))
+        for slots, cols, stat in draws:
+            if stat.ndim == 2:
+                # Normal(x_j, std_j) as rng.normal draws it, column after column
+                loc = row[cols, None]
+                drawn = loc + stat * rng.standard_normal((len(cols), S))
+                ZT[cols] = drawn
+                dist[slots] = ((drawn - loc) / stat) ** 2
+            else:
+                cats = rng.choice(len(cols), size=S, p=stat)
+                ZT[cols] = 0.0
+                Z[np.arange(S), cols[cats]] = 1.0
+                dist[slots] = np.any(ZT[cols] != row[cols, None], axis=0)
+        d2 = dist.sum(axis=0)  # slot after slot
+
+        with np.errstate(divide="ignore"):
+            weights = np.exp(-d2 / kernel_width**2)
+        if np.max(weights) < 1e-30:
+            raise DegenerateWeightsError("all perturbation weights are numerically zero")
+        phi[i] = _weighted_ridge(Z, weights, f(Z))
     return _shaped_like(x, phi, S)
 
 
 def _lime_draws(dataset: Dataset) -> list[tuple]:
-    """LIME's random draws in slot order, as (slots, cols, stat) triples.
+    """LIME's random draws in slot order, as (slots, cols, stat) triples,
+    worked out from dataset.X_train (preprocessed or not) on every call.
 
     Each run of numeric slots between one-hot groups is one draw: `slots`
-    and `cols` index the run's columns whose training std (`stat`, shape
-    (k, 1)) is positive; the other columns keep x and add no distance. A
-    group is one draw: its slot, columns and category frequencies (1-D)."""
+    and `cols` index the run's columns whose training std (ddof=1; 0.0 with
+    fewer than two rows) is positive, and `stat` holds those stds, shape
+    (k, 1); the other columns keep x and add no distance. A group is one
+    draw: its slot, its columns and its training category frequencies,
+    normalized to sum to 1 (1-D)."""
     draws = []
     run: list[tuple[int, int, float]] = []
 
@@ -259,12 +255,16 @@ def _lime_draws(dataset: Dataset) -> list[tuple]:
             draws.append((list(slots), np.array(cols), np.array(stds)[:, None]))
             run.clear()
 
-    for s, ((cols, group), stat) in enumerate(zip(dataset.slots, dataset.slot_train_stats)):
+    for s, (cols, group) in enumerate(dataset.slots):
         if group is not None:
             close_run()
-            draws.append((s, cols, stat))
-        elif stat > 0:
-            run.append((s, cols[0], stat))
+            freqs = dataset.X_train[:, cols].mean(axis=0)
+            draws.append((s, cols, freqs / freqs.sum()))
+            continue
+        col = dataset.X_train[:, cols[0]]
+        std = float(col.std(ddof=1)) if len(col) > 1 else 0.0
+        if std > 0:
+            run.append((s, cols[0], std))
     close_run()
     return draws
 

@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -478,6 +479,113 @@ def test_overflowing_numeric_spread_one_line_error(tmp_path):
     assert len(err) == 1, err
     assert err[0].startswith("error: dataset 'huge' failed at stage data: "), err
     assert "'wide_range'" in err[0] and "overflow" in err[0]
+
+
+# malformed-input fuzz: seeded, stdlib only; each case is (id, command, config
+# text, CSV data, expected exit code or None for "0, or 1 with one error line")
+FUZZ_SEED = 22
+FUZZ_CASES = 200
+FUZZ_TOKENS = ['"', ",", "\n", "\r", "\0", "\ufeff", " ", "-", "e", ".", "nan", "inf",
+               "1e999", "\\", '""', "\t", "#", "é", "x" * 131_073]
+FUZZ_VALUES = [None, True, False, 0, -1, 1.5, 1e308, float("inf"), 2**70, "", "x", "..",
+               "a/b", [], {}, ["sepal_length"], ["nope"], "species", "setosa", [[]]]
+FUZZ_KEYS = ["csv_path", "target_column", "positive_label", "categorical_columns",
+             "test_fraction", "seed", "name", "extra"]
+
+
+def _fuzz_command(rng):
+    return rng.choice([
+        ["train", "--model", "gnb"],
+        ["train", "--model", "lr", "--trials", "2"],
+        ["evaluate", "--model", "gnb", "--technique", "lpi", "--lpi-samples", "20"],
+        ["explain", "--model", "gnb", "--technique", "lpi", "--index", "0",
+         "--lpi-samples", "20"],
+    ])
+
+
+def _fuzz_cases(rng):
+    csv_text = (DATASETS_DIR / "iris_binary.csv").read_text(encoding="utf-8")
+    config = json.loads((DATASETS_DIR / "iris_binary.json").read_text(encoding="utf-8"))
+    config["csv_path"] = "data.csv"
+    config_text = json.dumps(config)
+    header, *lines = csv_text.splitlines()
+    over_limit = [header, f'5.1,"{"3" * 131_073}",1.4,0.2,setosa', *lines]
+    yield ("csv-cell-over-field-limit", ["train", "--model", "gnb"], config_text,
+           "\n".join(over_limit) + "\n", 1)
+    yield ("config-nested-too-deep", ["train", "--model", "gnb"],
+           "[" * 100_000 + "]" * 100_000, csv_text, 1)
+    yield ("csv-path-too-long", ["train", "--model", "gnb"],
+           json.dumps({**config, "csv_path": "x" * 5000}), csv_text, 1)
+    species = [line.rsplit(",", 1)[1] for line in lines]
+    for model in ("gnb", "lr"):
+        yield (f"csv-no-feature-column-{model}", ["train", "--model", model], config_text,
+               "\n".join(["species", *species]) + "\n", 1)
+    for name in ["../escaped", "a/b", "", ".", "..", "a\0b"]:
+        yield (f"name-{name!r}", ["evaluate", "--model", "gnb", "--technique", "lpi"],
+               json.dumps({**config, "name": name}), csv_text, 1)
+    yield ("byte-order-marks", ["evaluate", "--model", "gnb", "--technique", "lpi"],
+           "\ufeff" + config_text, "\ufeff" + csv_text, 0)
+    for i in range(FUZZ_CASES):
+        text, data = config_text, csv_text
+        kind = rng.choice(["csv-insert", "csv-delete", "csv-truncate", "csv-line",
+                           "csv-byte", "config-value", "config-drop", "config-text"])
+        if kind == "csv-insert":
+            at = rng.randrange(len(data))
+            data = data[:at] + rng.choice(FUZZ_TOKENS) + data[at:]
+        elif kind == "csv-delete":
+            at = rng.randrange(len(data))
+            data = data[:at] + data[at + rng.randint(1, 40):]
+        elif kind == "csv-truncate":
+            data = data[: rng.randrange(len(data))]
+        elif kind == "csv-line":
+            rows = data.splitlines()
+            j = rng.randrange(len(rows))
+            rows[j] = rng.choice(["", rows[j] + ",", rows[j] * 2, rows[j].rsplit(",", 1)[0],
+                                  rows[j].rsplit(",", 1)[0] + ",virginica"])
+            data = "\n".join(rows) + "\n"
+        elif kind == "csv-byte":
+            raw = bytearray(data.encode())
+            raw[rng.randrange(len(raw))] = rng.choice([0x80, 0xFF, 0xC3, 0x00])
+            data = bytes(raw)
+        elif kind == "config-value":
+            text = json.dumps({**config, rng.choice(FUZZ_KEYS): rng.choice(FUZZ_VALUES)})
+        elif kind == "config-drop":
+            dropped = rng.choice(FUZZ_KEYS)
+            text = json.dumps({k: v for k, v in config.items() if k != dropped})
+        else:
+            at = rng.randrange(len(text))
+            inserted = rng.choice(["", "{", "}", '"', ",", "\0", "[" * 5000])
+            text = text[:at] + inserted + text[at + rng.randint(0, 3):]
+        yield f"{i}-{kind}", _fuzz_command(rng), text, data, None
+
+
+def test_malformed_input_fuzz(tmp_path, capsys):
+    """Seeded malformed configs and CSVs under every command: each run exits
+    0, or exits 1 with exactly one stderr line starting 'error: ', and never
+    raises (which the console script would print as a traceback)."""
+    failures = []
+    for n, (case_id, command, config_text, csv_data, expected) in enumerate(
+            _fuzz_cases(random.Random(FUZZ_SEED))):
+        case_dir = tmp_path / str(n)
+        case_dir.mkdir()
+        (case_dir / "config.json").write_text(config_text, encoding="utf-8")
+        if isinstance(csv_data, bytes):
+            (case_dir / "data.csv").write_bytes(csv_data)
+        else:
+            (case_dir / "data.csv").write_text(csv_data, encoding="utf-8")
+        argv = [command[0], "--dataset", str(case_dir / "config.json"), *command[1:]]
+        if command[0] != "explain":
+            argv += ["--out", str(case_dir / ("out" if command[0] == "evaluate" else "m.json"))]
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # noqa: BLE001 - every escape is a finding
+            code = f"raised {type(exc).__name__}: {exc}"[:200]
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error: ")]
+        ok = code == 0 and not errors or code == 1 and len(errors) == 1
+        if not ok or "Traceback" in "\n".join(err) or expected not in (None, code):
+            failures.append((case_id, argv[0], code, err[:3]))
+    assert not failures, failures
 
 
 def test_benchmark_tracer_installs(tmp_path):

@@ -30,6 +30,14 @@ def cfg_for(path, target="label", positive="yes", categorical=None, fraction=0.2
     )
 
 
+def encoded_categories(table):
+    """The categories of the table's first one-hot group, with every row
+    encoded as a training row."""
+    parts = data.SplitTable(columns=table.columns, train_rows=table.rows, test_rows=[],
+                            y_train=table.labels, y_test=table.labels[:0])
+    return data.encode_onehot(parts).groups[0].categories
+
+
 class TestLoadCsv:
     def test_binary_mapping(self, csv_dir):
         path = write_csv(csv_dir / "t.csv", "a,b,label",
@@ -50,7 +58,7 @@ class TestLoadCsv:
                          ["red,yes", "green,no", "blue,yes", "green,no"])
         table = data.load_csv(path, cfg_for(path))
         assert table.columns[0].kind == "categorical"
-        assert table.columns[0].categories == ("red", "green", "blue")
+        assert encoded_categories(table) == ("red", "green", "blue")
 
     def test_byte_order_mark_left_out_of_header(self, csv_dir):
         path = csv_dir / "t.csv"
@@ -84,7 +92,10 @@ class TestLoadCsv:
         (["1,2,yes", "3,4,no,5"], None, r"line 3: 4 cells for 3 columns; cell 4 has no column"),
         (["1,2,yes", "", "3,oops,no"], (), r"line 4: cannot parse 'oops' .* column 'b'"),
         (["1,2,yes", "nan,4,no"], None, r"line 3: cannot parse 'nan' .* column 'a'"),
-    ], ids=["duplicate-header", "short-row", "long-row", "bad-number", "nan-cell"])
+        (["1,2,yes", f'3,"{"4" * 131_073}",no'], None,
+         r"line 3: field larger than field limit \(131072\)$"),
+    ], ids=["duplicate-header", "short-row", "long-row", "bad-number", "nan-cell",
+            "cell-over-field-limit"])
     def test_csv_defect_names_file_line_and_column(self, csv_dir, lines, categorical, message):
         header = "a,a,label" if "repeats" in message else "a,b,label"
         path = write_csv(csv_dir / "t.csv", header, lines)
@@ -104,7 +115,7 @@ class TestLoadCsv:
                          [f"{sites[i % 3]},{row}" for i, row in enumerate(rows)])
         table = data.load_csv(path, cfg_for(path, target="diabetes", positive="1"))
         assert [c.name for c in table.columns if c.kind == "categorical"] == ["site"]
-        assert table.columns[0].categories == sites
+        assert encoded_categories(table) == sites
 
     def test_autodetect_text_cell_in_numeric_column_named(self, csv_dir):
         """Without categorical_columns, one bad cell does not turn a numeric
@@ -124,7 +135,7 @@ class TestLoadCsv:
         path = write_csv(csv_dir / "t.csv", "desc,label",
                          ['"big, heavy",yes', '"small",no'])
         table = data.load_csv(path, cfg_for(path))
-        assert table.columns[0].categories == ("big, heavy", "small")
+        assert encoded_categories(table) == ("big, heavy", "small")
 
 
 def balanced_table(m, n=2, seed=0):
@@ -412,6 +423,13 @@ class TestConfig:
             data.DatasetConfig.from_json(cfg_path)
         assert str(info.value) == (
             f"{cfg_path}: 'positive_label' must be a string or an integer, got {label!r}")
+
+    def test_nested_too_deep_is_not_a_json_object(self, csv_dir):
+        cfg_path = csv_dir / "d.json"
+        cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(InvalidConfigError) as info:
+            data.DatasetConfig.from_json(cfg_path)
+        assert str(info.value).startswith(f"{cfg_path}: not a JSON object (maximum recursion")
 
 
 def test_make_datasets_reproduces_bundled_files(tmp_path, monkeypatch):

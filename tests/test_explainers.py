@@ -61,8 +61,8 @@ def categorical_dataset(seed=0, m=80):
 
 
 def _reference_lime(model, x, dataset, samples, seed):
-    """explain_lime with the training std and category frequencies recomputed
-    from X_train on every call, as before they were stored on the dataset."""
+    """explain_lime drawn column by column with rng.normal, one slot at a
+    time, and scored row-major."""
     n = dataset.n_features
     S = samples
     kernel_width = 0.75 * math.sqrt(n)
@@ -126,7 +126,7 @@ class TestLime:
         assert np.all(np.isfinite(e.phi))
         assert len(e.phi) == ds.n_features
 
-    def test_stored_train_stats_match_per_call_reference(self):
+    def test_train_stats_match_per_call_reference(self):
         iris = data.load_dataset(data.DatasetConfig.from_json(
             DATASETS_DIR / "iris_binary.json"))
         for ds in (iris, categorical_dataset()):
@@ -136,24 +136,23 @@ class TestLime:
                 e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
                 ref = _reference_lime(gnb, ds.X_test[i], ds, 400, seed=i)
                 assert np.array_equal(e.phi, ref), (ds.name, i)
-        stats = categorical_dataset().slot_train_stats
-        assert [np.ndim(s) for s in stats] == [0, 1, 0]
-        assert stats[1].sum() == pytest.approx(1.0) and not stats[1].flags.writeable
+        draws = explainers._lime_draws(categorical_dataset())
+        assert [np.ndim(stat) for _, _, stat in draws] == [2, 1, 2]
+        assert draws[1][2].sum() == pytest.approx(1.0)
 
     def test_train_stats_follow_preprocessed_matrix(self):
         raw = categorical_dataset()
-        raw_std = raw.slot_train_stats[0]  # fills the raw dataset's cache first
         std, _ = data.preprocess_dataset(raw, "standardize")
-        assert std.slot_train_stats is not raw.slot_train_stats
-        assert std.slot_train_stats[0] == float(std.X_train[:, 0].std(ddof=1))
-        assert std.slot_train_stats[0] == pytest.approx(1.0)
-        assert raw_std != pytest.approx(1.0)
-        assert np.array_equal(std.slot_train_stats[1], raw.slot_train_stats[1])
+        raw_draws, std_draws = explainers._lime_draws(raw), explainers._lime_draws(std)
+        assert std_draws[0][2][0, 0] == float(std.X_train[:, 0].std(ddof=1))
+        assert std_draws[0][2][0, 0] == pytest.approx(1.0)
+        assert raw_draws[0][2][0, 0] != pytest.approx(1.0)
+        assert np.array_equal(std_draws[1][2], raw_draws[1][2])
 
     def test_one_training_row_keeps_numeric_columns_fixed(self):
         X = np.array([[0.5, -1.0, 2.0]])
         ds = numeric_dataset(X, X_test=X + 1.0, y_train=[1], y_test=[0])
-        assert ds.slot_train_stats == (0.0, 0.0, 0.0)
+        assert explainers._lime_draws(ds) == []  # no column has a training spread
         handle = linear_handle([1.0, 2.0, -1.0])
         e = explain_lime(handle, ds.X_test[0], ds, seed=3)
         assert np.max(np.abs(e.phi)) < 1e-9  # every perturbation is x itself
@@ -609,6 +608,23 @@ class TestBlocks:
         assert len(sizes) == calls
         assert max(sizes) <= explainers._BLOCK_ROWS
 
+    @pytest.mark.parametrize("samples", [100, 300])
+    def test_lime_scores_each_instance_in_its_own_call(self, samples, monkeypatch):
+        """LIME's S perturbations of an instance are one model call, whether or
+        not S is small enough for SHAP and LPI to pack it with others."""
+        ds = categorical_dataset()
+        cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
+        gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        sizes = []
+
+        def spy(model, X):
+            sizes.append(len(X))
+            return predict_logodds(model, X)
+
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        explain("lime", "logodds", gnb, ds.X_test[:5], ds, cfg, [1, 2, 3, 4, 5])
+        assert sizes == [samples] * 5
+
     def test_lpi_oversized_pieces_scored_alone(self, monkeypatch):
         rng = np.random.default_rng(4)
         ds = numeric_dataset(rng.normal(0, 1, (60, 3)))
@@ -715,10 +731,11 @@ class TestLayout:
             columns=columns, train_rows=rows[:80], test_rows=rows[80:],
             y_train=np.array([i % 2 for i in range(80)]),
             y_test=np.array([i % 2 for i in range(m - 80)])))
-        assert ds.slot_train_stats[1] == 0.0 and len(ds.groups) == 2
+        assert len(ds.groups) == 2
         draws = explainers._lime_draws(ds)
         assert [np.ndim(stat) for _, _, stat in draws] == [2, 1, 2, 1, 2]
-        assert draws[0][1].tolist() == [0]  # the flat column is not drawn
+        # the flat column (slot 1, training std 0) is not drawn
+        assert draws[0][0] == [0] and draws[0][1].tolist() == [0]
         gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
         for i, samples in enumerate((1, 7, 400)):
             cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
