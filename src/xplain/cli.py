@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -169,6 +170,7 @@ def cmd_evaluate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise XplainError(f"cannot create --out directory {out_dir}: {exc.strerror}") from None
+    name_max = os.pathconf(out_dir, "PC_NAME_MAX")
 
     cells = []  # (dataset, model kind, score sets) per evaluated cell
     first_config: dict[str, str] = {}  # dataset name -> the config that claimed it
@@ -194,6 +196,12 @@ def cmd_evaluate(args) -> int:
             continue
         dataset, spec = prepared
         name = dataset.name
+        # checked before training, so a name no report can carry loses no work
+        report_name = max((f"{name}__{kind}.report.json" for kind in model_kinds), key=len)
+        if len(os.fsencode(report_name)) > name_max:
+            fail(name, "data", f"report file name {report_name!r} is longer than "
+                 f"the {name_max} bytes {out_dir} allows")
+            continue
         # reports and box-plot rows are keyed by name
         if name in first_config:
             fail(name, "data", f"name already used by {first_config[name]}")
@@ -260,10 +268,14 @@ def cmd_explain(args) -> int:
         phi = gt.lam
         base_value = None
     else:
-        explanation = explain(
-            args.technique, args.target, handle, x, dataset,
-            _explainer_config(args), seed=derive_seed(args.seed, args.index),
-        )
+        try:
+            explanation = explain(
+                args.technique, args.target, handle, x, dataset,
+                _explainer_config(args), seed=derive_seed(args.seed, args.index),
+            )
+        except (MemoryError, ValueError) as exc:  # e.g. a sample count no array can hold
+            raise XplainError(f"dataset {dataset.name!r} failed at stage "
+                              f"explain[{args.technique}]: {exc}") from None
         phi = explanation.phi
         base_value = explanation.base_value
     score = spearman(phi, gt.lam)

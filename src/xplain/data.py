@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -33,12 +34,11 @@ PREPROCESS_KINDS = ("standardize", "minmax", "interquartile")
 
 @dataclass(frozen=True)
 class ColumnSpec:
-    """One column: its name, kind and, once encode_onehot has fitted it on the
-    training rows, a categorical column's vocabulary."""
+    """One source column: its name and kind. encode_onehot fits a categorical
+    column's vocabulary on the training rows and keeps it in EncodedGroup."""
 
     name: str
     kind: str
-    categories: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,16 @@ class DatasetConfig:
         def is_str(v):
             return isinstance(v, str)
 
-        csv_path = Path(value("csv_path", is_str, "a string"))
+        csv_path = Path(value("csv_path", lambda v: is_str(v) and _encodable(v),
+                              "a string without lone surrogates"))
         if not csv_path.is_absolute():
             csv_path = path.parent / csv_path
         # reports are written to <out>/<name>__<model>.report.json
         name = value("name", is_str, "a string", path.stem)
-        if "/" in name or "\0" in name or name in ("", ".", ".."):
+        if "/" in name or "\0" in name or name in ("", ".", "..") or not _encodable(name):
             raise InvalidConfigError(
-                f"{path}: 'name' must be one file-name component (no '/' or NUL, "
-                f"not '', '.' or '..'), got {name!r}"
+                f"{path}: 'name' must be one file-name component (no '/', NUL or "
+                f"lone surrogate, not '', '.' or '..'), got {name!r}"
             )
         cats = value("categorical_columns",
                      lambda v: v is None or isinstance(v, list) and all(map(is_str, v)),
@@ -104,6 +105,16 @@ class DatasetConfig:
                        "a non-negative integer", 0),
             name=name,
         )
+
+
+def _encodable(path: str) -> bool:
+    """Whether the file system encoding can write path (a lone surrogate from a
+    JSON escape like "\\ud800" cannot be)."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -394,7 +405,7 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
     test category never seen in training encodes as an all-zero group and is
     counted in the returned dataset's unseen_category_count.
     """
-    fitted: list[ColumnSpec] = []
+    vocabularies: list[tuple[str, ...] | None] = []  # per source column; None if numeric
     for j, spec in enumerate(split_table.columns):
         if spec.kind == CATEGORICAL:
             seen: dict[str, None] = {}
@@ -405,24 +416,24 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
                     f"categorical column {spec.name!r} has fewer than 2 categories "
                     "in the training split"
                 )
-            fitted.append(ColumnSpec(spec.name, CATEGORICAL, tuple(seen)))
+            vocabularies.append(tuple(seen))
         else:
-            fitted.append(spec)
+            vocabularies.append(None)
 
     feature_names: list[str] = []
     groups: list[EncodedGroup] = []
-    for spec in fitted:
-        if spec.kind == NUMERIC:
+    for spec, vocab in zip(split_table.columns, vocabularies):
+        if vocab is None:
             feature_names.append(spec.name)
         else:
             start = len(feature_names)
-            for cat in spec.categories:
+            for cat in vocab:
                 feature_names.append(f"{spec.name}={cat}")
             groups.append(
                 EncodedGroup(
                     column=spec.name,
-                    indices=tuple(range(start, start + len(spec.categories))),
-                    categories=spec.categories,
+                    indices=tuple(range(start, start + len(vocab))),
+                    categories=vocab,
                 )
             )
 
@@ -433,16 +444,16 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
         X = np.zeros((len(rows), len(feature_names)))
         for r, row in enumerate(rows):
             pos = 0
-            for j, spec in enumerate(fitted):
-                if spec.kind == NUMERIC:
+            for j, vocab in enumerate(vocabularies):
+                if vocab is None:
                     X[r, pos] = row[j]
                     pos += 1
                 else:
                     try:
-                        X[r, pos + spec.categories.index(row[j])] = 1.0
+                        X[r, pos + vocab.index(row[j])] = 1.0
                     except ValueError:
                         unseen += 1
-                    pos += len(spec.categories)
+                    pos += len(vocab)
         return X
 
     X_train = encode_rows(split_table.train_rows)

@@ -23,9 +23,9 @@ from .models import GAUSSIAN_NB, LOGISTIC, ModelHandle
 
 SIGNIFICANT_CORRELATION = 0.7
 
-# test instances per evaluate_instance job and explain() call: enough that
-# consecutive instances fill model calls of explainers._BLOCK_ROWS rows, and
-# fixed, so no result depends on the worker count
+# test instances per evaluate_instance and explain() call: enough that
+# consecutive instances fill model calls of explainers._BLOCK_ROWS rows; each
+# instance keeps its own seed, so no result depends on this size
 INSTANCE_BLOCK = 64
 
 # medians are rounded to this many digits before tie comparison so that rank
@@ -124,7 +124,8 @@ def evaluate_instance(
     """A block of k instances X (k, n) with k seeds: the ground
     truth of each instance, extracted once, and per technique (in order) the
     Spearman score of each instance's explanation against it. Each technique
-    explains the whole block in one explain() call."""
+    explains the whole block in one explain() call; evaluate_dataset makes one
+    call per block of INSTANCE_BLOCK test instances."""
     if np.ndim(X) != 2:
         raise DimensionMismatchError(f"expected a block of instances (k, n), got {np.shape(X)}")
     gts = [ground_truth(model, row) for row in X]
@@ -168,43 +169,28 @@ def evaluate_dataset(
     target_space: str,
     config: ExplainerConfig | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[DatasetScoreSet]:
-    """One job per block of INSTANCE_BLOCK consecutive test instances: their
-    ground truths and every technique's scores. Instance k uses the seed
-    derived from (seed, k), so results depend neither on worker scheduling nor
-    on the block size. Returns one score set per technique, in the order given."""
+    """Evaluates the test split in blocks of INSTANCE_BLOCK consecutive
+    instances, one evaluate_instance call per block: their ground truths and
+    every technique's scores. Instance k uses the seed derived from (seed, k),
+    so results do not depend on the block size. Returns one score set per
+    technique, in the order given."""
     m = dataset.X_test.shape[0]
     if m == 0:
         raise ValueError(f"dataset {dataset.name!r} has an empty test split")
-
-    def block(start: int):
+    ground_truths: list[GroundTruth] = []
+    scores: list[list[CorrelationScore]] = [[] for _ in techniques]
+    for start in range(0, m, INSTANCE_BLOCK):
         ks = range(start, min(start + INSTANCE_BLOCK, m))
-        return evaluate_instance(
-            dataset.X_test[ks.start : ks.stop],
-            model,
-            techniques,
-            target_space,
-            dataset,
-            config,
-            seeds=[derive_seed(seed, k) for k in ks],
+        gts, block_scores = evaluate_instance(
+            dataset.X_test[ks.start : ks.stop], model, techniques, target_space,
+            dataset, config, seeds=[derive_seed(seed, k) for k in ks],
         )
-
-    starts = range(0, m, INSTANCE_BLOCK)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, so serial runs skip the import
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block, starts))
-    else:
-        results = [block(start) for start in starts]
-    ground_truths = tuple(gt for gts, _ in results for gt in gts)
-    return [
-        summarize_scores(
-            dataset.name, t, [s for _, scores in results for s in scores[i]], ground_truths
-        )
-        for i, t in enumerate(techniques)
-    ]
+        ground_truths += gts
+        for collected, block in zip(scores, block_scores):
+            collected += block
+    frozen = tuple(ground_truths)
+    return [summarize_scores(dataset.name, t, s, frozen) for t, s in zip(techniques, scores)]
 
 
 def rank_techniques(score_sets: list[DatasetScoreSet]) -> RankTable:

@@ -62,7 +62,7 @@ def benchmark_grid():
             collected.extend(
                 evaluate_dataset(
                     ds, handle, ["lime", "shap", "lpi"], target,
-                    config, seed=EVAL_SEED, workers=2,
+                    config, seed=EVAL_SEED,
                 )
             )
         sets[target] = collected

@@ -197,7 +197,7 @@ def test_thread_variable_not_read(value, unthreaded_run, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["evaluate", "--dataset", ds_config("iris_binary"),
                      "--out", str(out), *FAST_FLAGS]) == 0
-    assert len(calls) == 2 and all("workers" not in arguments for arguments in calls)
+    assert len(calls) == 2
     names = sorted(p.name for p in unthreaded_run.iterdir())
     assert names == sorted(p.name for p in out.iterdir())
     for name in names:
@@ -205,15 +205,24 @@ def test_thread_variable_not_read(value, unthreaded_run, tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_the_pool_unloaded():
-    """Only evaluate_dataset's workers > 1 branch needs concurrent.futures,
-    and the CLI never takes it; importing it costs start-up time."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, xplain.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True,
+    """Importing every xplain module loads no concurrent.futures and nothing
+    outside the standard library but numpy and xplain: import time lies
+    outside every trace span, so it must not grow unnoticed."""
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import xplain\n"
+        "for m in pkgutil.iter_modules(xplain.__path__, 'xplain.'):\n"
+        "    if m.name != 'xplain.__main__':\n"
+        "        importlib.import_module(m.name)\n"
+        "loaded = set(sys.modules) - before\n"
+        "print('xplain.cli' in loaded, 'concurrent.futures' in sys.modules)\n"
+        "print(sorted({n.partition('.')[0] for n in loaded}\n"
+        "             - set(sys.stdlib_module_names)))\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "True False\n['numpy', 'xplain']\n"
 
 
 @pytest.fixture
@@ -231,6 +240,7 @@ def bad_configs(tmp_path):
         ("cats_int", "categorical_columns", 5),
         ("cats_str", "categorical_columns", "species"),
         ("csv_is_dir", "csv_path", "."),
+        ("csv_surrogate", "csv_path", "a\ud800.csv"),
         ("label_bool", "positive_label", True),
         ("label_null", "positive_label", None),
         ("label_float", "positive_label", 1.0),
@@ -241,6 +251,7 @@ def bad_configs(tmp_path):
         ("name_dot", "name", "."),
         ("name_dotdot", "name", ".."),
         ("name_nul", "name", "a\0b"),
+        ("name_surrogate", "name", "a\ud800"),
     ]:
         (tmp_path / f"{name}.json").write_text(json.dumps({**iris, key: value}))
     header, first, *rest = (DATASETS_DIR / "iris_binary.csv").read_text().splitlines()
@@ -329,6 +340,9 @@ def bad_configs(tmp_path):
     ["train", "--dataset", "BAD/name_slash.json", "--model", "gnb", "--out", "BAD/m.json"],
     ["explain", "--dataset", "BAD/name_dotdot.json", "--model", "gnb",
      "--technique", "lpi", "--index", "0"],
+    ["train", "--dataset", "BAD/csv_surrogate.json", "--model", "gnb"],
+    ["explain", "--dataset", "BAD/csv_surrogate.json", "--model", "gnb",
+     "--technique", "lpi", "--index", "0"],
 ], ids=[
     "lime-samples-0", "shap-samples-0", "shap-background-0", "lpi-samples-0",
     "trials-0", "evaluate-empty-config", "evaluate-non-json-config",
@@ -350,6 +364,7 @@ def bad_configs(tmp_path):
     "explain-null-positive-label", "evaluate-float-positive-label",
     "train-list-positive-label", "train-gnb-trials-0", "explain-gnb-negative-trials",
     "evaluate-name-escapes-out", "train-name-with-slash", "explain-name-dotdot",
+    "train-csv-path-lone-surrogate", "explain-csv-path-lone-surrogate",
 ])
 def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     argv = [ds_config("iris_binary") if a == "IRIS" else a.replace("BAD", str(bad_configs))
@@ -390,7 +405,7 @@ def test_missing_config_key_named(bad_configs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stem", ["name_escapes", "name_slash", "name_empty", "name_dot",
-                                  "name_dotdot", "name_nul"])
+                                  "name_dotdot", "name_nul", "name_surrogate"])
 def test_dataset_name_stays_inside_out(stem, bad_configs, tmp_path, capsys):
     """Reports are written to <out>/<name>__<model>.report.json, so a name that
     is not one file-name component is rejected at stage data, naming the file
@@ -437,6 +452,55 @@ def test_failed_report_write_one_line_error(blocked, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1] == f"error: cannot write {out / blocked}: Is a directory"
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def named_iris_config(path, name):
+    """iris_binary's config under another dataset name."""
+    config = json.loads((DATASETS_DIR / "iris_binary.json").read_text())
+    config.update(csv_path=str(DATASETS_DIR / config["csv_path"]), name=name)
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_name_too_long_for_a_report_fails_before_training(tmp_path, capsys, monkeypatch):
+    """A name whose report file name the file system cannot hold fails its
+    data stage; training and evaluating both models first lost that work."""
+    trained = []
+    monkeypatch.setattr(cli, "_train", lambda *args: trained.append(args))
+    name = "n" * 250
+    code = cli.main(["evaluate", "--dataset", named_iris_config(tmp_path / "long.json", name),
+                     "--out", str(tmp_path / "out"), *FAST_FLAGS])
+    assert code == 1 and trained == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error: dataset {name!r} failed at stage data: report file "
+                             f"name '{name}__gnb.report.json' is longer than the "), err
+
+
+def test_report_name_at_the_file_name_limit_runs(tmp_path, capsys):
+    """The limit is on the longest report name's bytes: at the limit a dataset
+    runs, one byte over it fails its data stage and the others still run."""
+    out = tmp_path / "out"
+    out.mkdir()
+    name_max = os.pathconf(out, "PC_NAME_MAX")
+    longest = name_max - len("__gnb.report.json")
+    at_limit, over = "a" * longest, "b" * (longest + 1)
+    code = cli.main(["evaluate", "--model", "both", "--technique", "lpi", "--out", str(out),
+                     "--dataset", named_iris_config(tmp_path / "at.json", at_limit),
+                     "--dataset", named_iris_config(tmp_path / "over.json", over),
+                     *FAST_FLAGS])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        f"error: dataset {over!r} failed at stage data: report file name "
+        f"'{over}__gnb.report.json' is longer than the {name_max} bytes {out} allows"
+    ]
+    assert [line for line in err if "evaluated" in line] == [
+        f"[{at_limit}] lr: evaluated 1 technique(s)", f"[{at_limit}] gnb: evaluated 1 technique(s)"
+    ]
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        f"{at_limit}__lr.report.json", f"{at_limit}__gnb.report.json",
+        "box_plot.csv", "rank_table.json"])
 
 
 def test_one_feature_dataset_fails_its_data_stage(tmp_path, capsys):
@@ -693,6 +757,19 @@ class TestExplain:
         assert train_calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: unknown technique 'anchors'"), err
+
+    @pytest.mark.parametrize("samples", [10**17, 10**20])
+    @pytest.mark.parametrize("technique", ["lime", "lpi"])
+    def test_unallocatable_sample_count(self, technique, samples, capsys):
+        """10**17 rows of 4 columns is a MemoryError before any memory is
+        touched, and 10**20 is past numpy's largest dimension (ValueError);
+        either is a one-line diagnostic naming the stage, not a traceback."""
+        assert run_explain(["--technique", technique, f"--{technique}-samples", str(samples)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and captured.out == "", captured
+        assert err[0].startswith(
+            f"error: dataset 'iris_binary' failed at stage explain[{technique}]: "), err
 
     def test_lpi_absolute_flag(self, capsys):
         assert run_explain(["--technique", "lpi", "--lpi-absolute"]) == 0

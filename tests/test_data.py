@@ -182,8 +182,7 @@ class TestSplit:
 
 
 def categorical_split(train_values, test_values, extra_numeric=True):
-    columns = [data.ColumnSpec("color", "categorical",
-                               tuple(dict.fromkeys(train_values + test_values)))]
+    columns = [data.ColumnSpec("color", "categorical")]
     if extra_numeric:
         columns.append(data.ColumnSpec("x", "numeric"))
     train_rows = [(v, float(i)) if extra_numeric else (v,) for i, v in enumerate(train_values)]

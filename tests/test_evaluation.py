@@ -178,15 +178,12 @@ class TestEvaluateDataset:
         )
         return ds, handle, cfg
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         ds, handle, cfg = self.make()
         a = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3)
         b = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3)
-        c = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3, workers=3)
-        for s1, s2 in zip(a, b):
+        for s1, s2 in zip(a, b, strict=True):
             assert [x.r for x in s1.scores] == [x.r for x in s2.scores]
-        for s1, s3 in zip(a, c):
-            assert [x.r for x in s1.scores] == [x.r for x in s3.scores]
 
     def test_scores_indexed_by_instance(self):
         ds, handle, cfg = self.make()
@@ -216,14 +213,6 @@ class TestEvaluateDataset:
                 expected = ground_truth(handle, ds.X_test[k])
                 assert np.array_equal(gt.lam, expected.lam)
                 assert gt.offset == expected.offset
-
-    def test_ground_truths_worker_independent(self):
-        ds, handle, cfg = self.make()
-        (a,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=3)
-        (c,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=3, workers=3)
-        assert len(a.ground_truths) == len(c.ground_truths) == 12
-        for g1, g3 in zip(a.ground_truths, c.ground_truths):
-            assert np.array_equal(g1.lam, g3.lam) and g1.offset == g3.offset
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_blocks_match_single_instances(self, block, monkeypatch):
@@ -265,9 +254,9 @@ class TestEvaluateDataset:
         assert sizes.count(1000) == 192
         assert len(sizes) == 192 + 51
 
-    def test_wide_mixed_worker_independent(self, tmp_path):
-        """The pool over one-hot groups and sampled KernelSHAP: two workers
-        give the scores and ground truths of one, bit for bit."""
+    def test_wide_mixed_block_size_independent(self, tmp_path, monkeypatch):
+        """One-hot groups and sampled KernelSHAP: blocks of 5 instances give
+        the scores and ground truths of blocks of 64, bit for bit."""
         ds = wide_mixed_dataset(tmp_path)
         cfg = ExplainerConfig(
             lime=LimeConfig(samples=200),
@@ -279,11 +268,14 @@ class TestEvaluateDataset:
             ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=2, seed=1)),
             ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train)),
         ):
-            one, two = (evaluate_dataset(ds, handle, techniques, "logodds", cfg, seed=1,
-                                         workers=workers) for workers in (1, 2))
-            for s1, s2 in zip(one, two, strict=True):
+            runs = []
+            for block in (5, 64):
+                monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
+                runs.append(evaluate_dataset(ds, handle, techniques, "logodds", cfg, seed=1))
+            small, large = runs
+            for s1, s2 in zip(small, large, strict=True):
                 assert np.array_equal([x.r for x in s1.scores], [x.r for x in s2.scores])
-            for g1, g2 in zip(one[0].ground_truths, two[0].ground_truths, strict=True):
+            for g1, g2 in zip(small[0].ground_truths, large[0].ground_truths, strict=True):
                 assert np.array_equal(g1.lam, g2.lam) and g1.offset == g2.offset
 
     def test_empty_test_split_rejected(self):

@@ -47,7 +47,7 @@ def categorical_dataset(seed=0, m=80):
             for _ in range(m)]
     columns = (
         data.ColumnSpec("x0", "numeric"),
-        data.ColumnSpec("cat", "categorical", ("a", "b", "c")),
+        data.ColumnSpec("cat", "categorical"),
         data.ColumnSpec("x1", "numeric"),
     )
     parts = data.SplitTable(
@@ -721,10 +721,10 @@ class TestLayout:
         columns = (
             data.ColumnSpec("x0", "numeric"),
             data.ColumnSpec("flat", "numeric"),
-            data.ColumnSpec("cat", "categorical", ("a", "b", "c")),
+            data.ColumnSpec("cat", "categorical"),
             data.ColumnSpec("x1", "numeric"),
             data.ColumnSpec("x2", "numeric"),
-            data.ColumnSpec("bit", "categorical", ("u", "v")),
+            data.ColumnSpec("bit", "categorical"),
             data.ColumnSpec("x3", "numeric"),
         )
         ds = data.encode_onehot(data.SplitTable(
