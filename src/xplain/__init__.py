@@ -41,7 +41,6 @@ from .groundtruth import GroundTruth, ground_truth
 from .models import (
     GaussianNBModel,
     LogisticModel,
-    ModelHandle,
     predict_logodds,
     predict_proba,
     train_gnb,

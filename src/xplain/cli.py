@@ -55,12 +55,15 @@ def _explainer_config(args) -> ExplainerConfig:
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
+def _add_training_flags(p: argparse.ArgumentParser):
     p.add_argument("--preprocess", choices=sorted(PREPROCESS_FLAGS), default="standard")
-    p.add_argument("--target", choices=["logodds", "probability"], default="logodds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100,
                    help="hyperparameter search trials for logistic regression")
+
+
+def _add_explainer_flags(p: argparse.ArgumentParser):
+    p.add_argument("--target", choices=["logodds", "probability"], default="logodds")
     p.add_argument("--lime-samples", type=int, default=5000)
     p.add_argument("--shap-samples", type=int, default=5000)
     p.add_argument("--shap-background", type=int, default=100)
@@ -84,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--technique", default="lime,shap,lpi",
                     help="comma-separated subset of lime,shap,lpi")
     ev.add_argument("--out", default="reports", help="output directory")
-    _add_common_flags(ev)
+    _add_training_flags(ev)
+    _add_explainer_flags(ev)
 
     ex = sub.add_parser("explain", help="explain one test instance")
     ex.add_argument("--dataset", required=True)
@@ -92,13 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--technique", required=True,
                     help="lime, shap, lpi or groundtruth")
     ex.add_argument("--index", type=int, required=True)
-    _add_common_flags(ex)
+    _add_training_flags(ex)
+    _add_explainer_flags(ex)
 
     tr = sub.add_parser("train", help="train one model and serialize it")
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--model", choices=["lr", "gnb"], required=True)
     tr.add_argument("--out", default=None, help="model JSON path")
-    _add_common_flags(tr)
+    _add_training_flags(tr)
 
     return parser
 
@@ -128,14 +133,12 @@ def _prepare(config_path: str, preprocess_flag: str, scored: bool = True):
     return data_mod.preprocess_dataset(dataset, PREPROCESS_FLAGS[preprocess_flag])
 
 
-def _train(kind: str, dataset, spec, args) -> models_mod.ModelHandle:
+def _train(kind: str, dataset, args) -> models_mod.Model:
     if kind == "lr":
-        model = models_mod.train_logistic(
+        return models_mod.train_logistic(
             dataset.X_train, dataset.y_train, search_trials=args.trials, seed=args.seed
         )
-    else:
-        model = models_mod.train_gnb(dataset.X_train, dataset.y_train)
-    return models_mod.ModelHandle(kind=kind, model=model, preprocess=spec)
+    return models_mod.train_gnb(dataset.X_train, dataset.y_train)
 
 
 def _json_dump(obj, path: Path):
@@ -194,7 +197,7 @@ def cmd_evaluate(args) -> int:
                              _prepare, cfg_path, args.preprocess)
         if prepared is None:
             continue
-        dataset, spec = prepared
+        dataset, _ = prepared
         name = dataset.name
         # checked before training, so a name no report can carry loses no work
         report_name = max((f"{name}__{kind}.report.json" for kind in model_kinds), key=len)
@@ -208,12 +211,12 @@ def cmd_evaluate(args) -> int:
             continue
         first_config[name] = cfg_path
         for kind in model_kinds:
-            handle = run_stage(name, f"train[{kind}]", _train, kind, dataset, spec, args)
-            if handle is None:
+            model = run_stage(name, f"train[{kind}]", _train, kind, dataset, args)
+            if model is None:
                 continue
             sets = run_stage(
                 name, f"evaluate[{kind}]", evaluate_dataset,
-                dataset, handle, techniques, args.target, config,
+                dataset, model, techniques, args.target, config,
                 seed=args.seed,
             )
             if sets is None:
@@ -250,7 +253,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    dataset, spec = _prepare(args.dataset, args.preprocess)
+    dataset, _ = _prepare(args.dataset, args.preprocess)
     # checked before training, which runs up to --trials fits
     if args.technique not in (*TECHNIQUES, "groundtruth"):
         raise UnknownTechniqueError(
@@ -261,16 +264,16 @@ def cmd_explain(args) -> int:
         raise IndexOutOfRangeError(
             f"index {args.index} outside the test split (size {m})"
         )
-    handle = _train(args.model, dataset, spec, args)
+    model = _train(args.model, dataset, args)
     x = dataset.X_test[args.index]
-    gt = ground_truth(handle, x)
+    gt = ground_truth(model, x)
     if args.technique == "groundtruth":
         phi = gt.lam
         base_value = None
     else:
         try:
             explanation = explain(
-                args.technique, args.target, handle, x, dataset,
+                args.technique, args.target, model, x, dataset,
                 _explainer_config(args), seed=derive_seed(args.seed, args.index),
             )
         except (MemoryError, ValueError) as exc:  # e.g. a sample count no array can hold
@@ -300,12 +303,12 @@ def cmd_explain(args) -> int:
 
 def cmd_train(args) -> int:
     dataset, spec = _prepare(args.dataset, args.preprocess, scored=False)
-    handle = _train(args.model, dataset, spec, args)
-    train_acc = models_mod.accuracy(handle, dataset.X_train, dataset.y_train)
-    test_acc = models_mod.accuracy(handle, dataset.X_test, dataset.y_test)
+    model = _train(args.model, dataset, args)
+    train_acc = models_mod.accuracy(model, dataset.X_train, dataset.y_train)
+    test_acc = models_mod.accuracy(model, dataset.X_test, dataset.y_test)
     out = Path(args.out) if args.out else Path(f"{dataset.name}_{args.model}.model.json")
     try:
-        _json_dump(models_mod.handle_to_dict(handle), out)
+        _json_dump(models_mod.model_to_dict(model, spec), out)
     except OSError as exc:
         raise XplainError(f"cannot write --out {out}: {exc.strerror}") from None
     print(f"dataset={dataset.name} model={args.model} "

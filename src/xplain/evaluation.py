@@ -19,7 +19,7 @@ from .data import Dataset
 from .errors import DimensionMismatchError, VectorTooShortError
 from .explainers import ExplainerConfig, explain
 from .groundtruth import GroundTruth, ground_truth
-from .models import GAUSSIAN_NB, LOGISTIC, ModelHandle
+from .models import GaussianNBModel, LogisticModel, Model
 
 SIGNIFICANT_CORRELATION = 0.7
 
@@ -113,7 +113,7 @@ def derive_seed(seed: int, index: int) -> int:
 
 def evaluate_instance(
     X: np.ndarray,
-    model: ModelHandle,
+    model: Model,
     techniques: list[str],
     target_space: str,
     dataset: Dataset,
@@ -121,11 +121,12 @@ def evaluate_instance(
     *,
     seeds: Sequence[int],
 ) -> tuple[list[GroundTruth], list[list[CorrelationScore]]]:
-    """A block of k instances X (k, n) with k seeds: the ground
-    truth of each instance, extracted once, and per technique (in order) the
-    Spearman score of each instance's explanation against it. Each technique
-    explains the whole block in one explain() call; evaluate_dataset makes one
-    call per block of INSTANCE_BLOCK test instances."""
+    """A block of k instances X (k, n) with k seeds under one model (a
+    LogisticModel or a GaussianNBModel): the ground truth of each instance,
+    extracted once, and per technique (in order) the Spearman score of each
+    instance's explanation against it. Each technique explains the whole block
+    in one explain() call; evaluate_dataset makes one call per block of
+    INSTANCE_BLOCK test instances."""
     if np.ndim(X) != 2:
         raise DimensionMismatchError(f"expected a block of instances (k, n), got {np.shape(X)}")
     gts = [ground_truth(model, row) for row in X]
@@ -164,13 +165,14 @@ def summarize_scores(
 
 def evaluate_dataset(
     dataset: Dataset,
-    model: ModelHandle,
+    model: Model,
     techniques: list[str],
     target_space: str,
     config: ExplainerConfig | None = None,
     seed: int = 0,
 ) -> list[DatasetScoreSet]:
-    """Evaluates the test split in blocks of INSTANCE_BLOCK consecutive
+    """Evaluates the test split under one model (a LogisticModel or a
+    GaussianNBModel) in blocks of INSTANCE_BLOCK consecutive
     instances, one evaluate_instance call per block: their ground truths and
     every technique's scores. Instance k uses the seed derived from (seed, k),
     so results do not depend on the block size. Returns one score set per
@@ -254,7 +256,8 @@ def report_set(
     in the same order, and no (dataset, model) repeats. Returns the reports keyed
     by file name, the rank_table.json payload and the box_plot.csv rows, header
     first. Rank tables and box rows list models in the order lr, gnb."""
-    by_kind: dict[str, list[DatasetScoreSet]] = {LOGISTIC: [], GAUSSIAN_NB: []}
+    by_kind: dict[str, list[DatasetScoreSet]] = {
+        LogisticModel.kind: [], GaussianNBModel.kind: []}
     for _, kind, sets in cells:
         by_kind[kind].extend(sets)
     tables = {kind: rank_techniques(sets) for kind, sets in by_kind.items() if sets}

@@ -2,10 +2,11 @@
 
 All three share one entry point, explain(), which targets either the model's
 log-odds or its class-1 probability. Like predict_logodds, every explainer
-takes one instance x of shape (n,) with an int seed, or a block X of shape
-(k, n) with k seeds. Each instance's randomness derives solely from its own
-seed, so results are reproducible and schedule-independent, and explaining a
-block gives exactly the stacked single-instance explanations. One-hot groups
+takes the model itself (a LogisticModel or a GaussianNBModel) and one
+instance x of shape (n,) with an int seed, or a block X of shape (k, n) with
+k seeds. Each instance's randomness derives solely from its own seed, so
+results are reproducible and schedule-independent, and explaining a block
+gives exactly the stacked single-instance explanations. One-hot groups
 are always perturbed atomically (per-column bit flips would produce
 impossible encodings). Rows for the model are built column-major, so the
 scorer works on m rows per numpy operation; solves stay row-major.
@@ -28,7 +29,7 @@ from .errors import (
     InvalidConfigError,
     UnknownTechniqueError,
 )
-from .models import ModelHandle, predict_logodds, predict_proba
+from .models import Model, predict_logodds, predict_proba
 
 LIME = "lime"
 SHAP = "shap"
@@ -104,7 +105,7 @@ class Explanation:
     base_value: float | np.ndarray | None = None
 
 
-def _target_fn(model: ModelHandle, target_space: str):
+def _target_fn(model: Model, target_space: str):
     if target_space == LOGODDS:
         return lambda X: predict_logodds(model, X)
     if target_space == PROBABILITY:
@@ -182,7 +183,7 @@ def _score_call(f, batch: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def explain_lime(
-    model: ModelHandle,
+    model: Model,
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
@@ -395,7 +396,7 @@ def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
 
 
 def explain_shap(
-    model: ModelHandle,
+    model: Model,
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
@@ -463,7 +464,7 @@ def explain_shap(
 
 
 def explain_lpi(
-    model: ModelHandle,
+    model: Model,
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
@@ -522,13 +523,15 @@ _DISPATCH = {LIME: explain_lime, SHAP: explain_shap, LPI: explain_lpi}
 def explain(
     technique: str,
     target_space: str,
-    model: ModelHandle,
+    model: Model,
     x: np.ndarray,
     dataset: Dataset,
     config: ExplainerConfig | None = None,
     seed: int | Sequence[int] = 0,
 ) -> Explanation:
-    """Dispatch to the requested technique with f = log-odds or probability.
+    """Dispatch to the requested technique with f = log-odds or probability of
+    model, a LogisticModel or a GaussianNBModel (anything else raises
+    TypeError at the first model call).
 
     x is one instance (n,) with an int seed, or a block (k, n) with one seed
     per instance; a block's explanation has phi (k, n) and, for SHAP,

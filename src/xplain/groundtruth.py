@@ -32,7 +32,8 @@ class GroundTruth:
 
 
 def ground_truth(model, x: np.ndarray) -> GroundTruth:
-    """Ground truth for one instance x of shape (n,); model is a handle or a bare model."""
+    """Ground truth for one instance x of shape (n,) under a LogisticModel or a
+    GaussianNBModel."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatchError(

@@ -18,7 +18,7 @@ derived once per model (GaussianNBModel.quadratic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -26,14 +26,13 @@ import numpy as np
 from .data import PreprocessSpec, stratified_indices
 from .errors import ConvergenceError, DimensionMismatchError, InvalidConfigError
 
-LOGISTIC = "lr"
-GAUSSIAN_NB = "gnb"
-
 PROBA_CLIP = 1e-12
 
 
 @dataclass(frozen=True)
 class LogisticModel:
+    kind = "lr"  # the family's name; a class attribute, not a field
+
     weights: np.ndarray
     intercept: float
     penalty: str  # "l1" | "l2"
@@ -47,6 +46,8 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class GaussianNBModel:
+    kind = "gnb"  # the family's name; a class attribute, not a field
+
     mean0: np.ndarray
     mean1: np.ndarray
     var0: np.ndarray
@@ -65,13 +66,7 @@ class GaussianNBModel:
         return quad, lin, const
 
 
-@dataclass(frozen=True)
-class ModelHandle:
-    """Tagged union of the two model families plus the preprocessing it was trained under."""
-
-    kind: str
-    model: LogisticModel | GaussianNBModel
-    preprocess: PreprocessSpec | None = None
+Model = LogisticModel | GaussianNBModel
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -214,8 +209,7 @@ def train_logistic(
         model = fit_logistic(X_fit, y_fit, penalty, strength, tol, max_iter)
         if not model.converged:
             continue
-        z = X_val @ model.weights + model.intercept
-        acc = float(np.mean((z >= 0.0) == (y_val == 1)))
+        acc = accuracy(model, X_val, y_val)
         if best is None or acc > best[0]:
             best = (acc, t, penalty, strength)
     if best is None:
@@ -260,36 +254,28 @@ def _check_input(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _resolve(model) -> tuple[str, LogisticModel | GaussianNBModel]:
-    if isinstance(model, ModelHandle):
-        return model.kind, model.model
-    if isinstance(model, LogisticModel):
-        return LOGISTIC, model
-    if isinstance(model, GaussianNBModel):
-        return GAUSSIAN_NB, model
-    raise TypeError(f"not a model: {type(model).__name__}")
-
-
-def feature_terms(model, x) -> tuple[float, np.ndarray]:
+def feature_terms(model: Model, x) -> tuple[float, np.ndarray]:
     """Class-1 log-odds split into (offset, per-feature terms).
 
     LR: offset = intercept, term_j = w_j * x_j. GNB: offset = log prior ratio,
     term_j = log N(x_j | class 1) - log N(x_j | class 0), evaluated from the
     model's quadratic coefficients. Accepts a single instance (n,) or a batch
-    (m, n); the terms have the shape of x.
+    (m, n); the terms have the shape of x. Anything but a LogisticModel or a
+    GaussianNBModel raises TypeError.
     """
-    kind, inner = _resolve(model)
-    if kind == LOGISTIC:
-        x = _check_input(x, len(inner.weights))
-        return inner.intercept, inner.weights * x
-    x = _check_input(x, len(inner.mean0))
-    quad, lin, const = inner.quadratic
+    if isinstance(model, LogisticModel):
+        x = _check_input(x, len(model.weights))
+        return model.intercept, model.weights * x
+    if not isinstance(model, GaussianNBModel):
+        raise TypeError(f"not a model: {type(model).__name__}")
+    x = _check_input(x, len(model.mean0))
+    quad, lin, const = model.quadratic
     # Horner form in one array, updated in place
     terms = quad * x
     terms += lin
     terms *= x
     terms += const
-    offset = float(np.log(inner.prior1) - np.log(inner.prior0))
+    offset = float(np.log(model.prior1) - np.log(model.prior0))
     return offset, terms
 
 
@@ -331,7 +317,7 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_logodds(model, x) -> float | np.ndarray:
+def predict_logodds(model: Model, x) -> float | np.ndarray:
     """Class-1 log-odds: offset + sum of the per-feature terms.
 
     Accepts a single instance (n,) or a batch (m, n) in either memory layout;
@@ -345,47 +331,29 @@ def predict_logodds(model, x) -> float | np.ndarray:
     return offset + _row_sum(terms)  # terms is this call's own array
 
 
-def predict_proba(model, x) -> float | np.ndarray:
+def predict_proba(model: Model, x) -> float | np.ndarray:
     """Class-1 probability: sigmoid of the log-odds, clipped to [1e-12, 1 - 1e-12]."""
     z = predict_logodds(model, x)
     p = np.clip(_sigmoid(np.asarray(z)), PROBA_CLIP, 1.0 - PROBA_CLIP)
     return float(p) if np.ndim(z) == 0 else p
 
 
-def accuracy(model, X: np.ndarray, y: np.ndarray) -> float:
+def accuracy(model: Model, X: np.ndarray, y: np.ndarray) -> float:
     """Fraction of instances whose log-odds sign matches the label."""
     z = predict_logodds(model, np.asarray(X, dtype=float))
     return float(np.mean((np.asarray(z) >= 0.0) == (np.asarray(y) == 1)))
 
 
-def handle_to_dict(handle: ModelHandle) -> dict:
-    """JSON-serializable record of a trained model plus its preprocessing.
+def model_to_dict(model: Model, preprocess: PreprocessSpec) -> dict:
+    """JSON-serializable record of a trained model plus its preprocessing:
+    the family's kind and every dataclass field, arrays and tuples as lists.
 
     `xplain train` writes it as an output record; nothing loads it back.
     """
-    out: dict = {"kind": handle.kind}
-    if handle.kind == LOGISTIC:
-        m = handle.model
-        out["model"] = {
-            "weights": [float(v) for v in m.weights],
-            "intercept": m.intercept,
-            "penalty": m.penalty,
-            "strength": m.strength,
-            "iterations": m.iterations,
-            "final_objective": m.final_objective,
-            "objective_checkpoints": [float(v) for v in m.objective_checkpoints],
-            "converged": m.converged,
-        }
-    else:
-        m = handle.model
-        out["model"] = {
-            "mean0": [float(v) for v in m.mean0],
-            "mean1": [float(v) for v in m.mean1],
-            "var0": [float(v) for v in m.var0],
-            "var1": [float(v) for v in m.var1],
-            "prior0": m.prior0,
-            "prior1": m.prior1,
-        }
-    if handle.preprocess is not None:
-        out["preprocess"] = handle.preprocess.to_dict()
-    return out
+    record = {}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, (np.ndarray, tuple)):
+            value = [float(v) for v in value]
+        record[f.name] = value
+    return {"kind": model.kind, "model": record, "preprocess": preprocess.to_dict()}

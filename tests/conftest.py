@@ -9,7 +9,7 @@ import pytest
 
 from xplain import data
 from xplain.data import Dataset
-from xplain.models import LogisticModel, ModelHandle
+from xplain.models import LogisticModel
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 DATASETS_DIR = SRC_DIR / "xplain" / "datasets"
@@ -46,14 +46,13 @@ def numeric_dataset(X_train, X_test=None, y_train=None, y_test=None, name="test"
     )
 
 
-def linear_handle(weights, intercept=0.0) -> ModelHandle:
-    model = LogisticModel(
+def linear_model(weights, intercept=0.0) -> LogisticModel:
+    return LogisticModel(
         weights=np.asarray(weights, dtype=float),
         intercept=float(intercept),
         penalty="l2",
         strength=0.0,
     )
-    return ModelHandle(kind="lr", model=model)
 
 
 def write_csv(path: Path, header: str, lines: list[str]):

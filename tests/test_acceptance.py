@@ -21,14 +21,13 @@ from xplain.groundtruth import ground_truth
 from xplain.models import (
     GaussianNBModel,
     LogisticModel,
-    ModelHandle,
     accuracy,
     predict_logodds,
     train_gnb,
     train_logistic,
 )
 
-from conftest import BUNDLED, DATASETS_DIR, linear_handle, numeric_dataset
+from conftest import BUNDLED, DATASETS_DIR, linear_model, numeric_dataset
 
 EVAL_SEED = 42
 
@@ -58,10 +57,10 @@ def benchmark_grid():
         collected = []
         for name in BUNDLED:
             ds = standardized(name)
-            handle = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+            model = train_gnb(ds.X_train, ds.y_train)
             collected.extend(
                 evaluate_dataset(
-                    ds, handle, ["lime", "shap", "lpi"], target,
+                    ds, model, ["lime", "shap", "lpi"], target,
                     config, seed=EVAL_SEED,
                 )
             )
@@ -121,10 +120,10 @@ def test_criterion_2_exact_shapley_equivalence():
         for _ in range(3):
             ds = numeric_dataset(rng.normal(0, 1, (60, n)))
             w = rng.normal(0, 1.5, n)
-            handle = linear_handle(w, float(rng.normal()))
+            model = linear_model(w, float(rng.normal()))
             x = rng.normal(0, 1, n)
-            e = explain_shap(handle, x, ds, seed=int(rng.integers(1 << 30)))
-            f = lambda Z: np.atleast_1d(predict_logodds(handle, Z))
+            e = explain_shap(model, x, ds, seed=int(rng.integers(1 << 30)))
+            f = lambda Z: np.atleast_1d(predict_logodds(model, Z))
             oracle = _permutation_shapley(f, x, ds.X_train, n)
             closed = w * (x - ds.X_train.mean(axis=0))
             worst_oracle = max(worst_oracle, float(np.max(np.abs(e.phi - oracle))))
@@ -143,9 +142,9 @@ def test_criterion_3_lpi_closed_form():
         m = int(rng.integers(20, 120))
         ds = numeric_dataset(rng.normal(rng.normal(), rng.uniform(0.5, 3), (m, n)))
         w = rng.normal(0, 2, n)
-        handle = linear_handle(w, float(rng.normal()))
+        model = linear_model(w, float(rng.normal()))
         x = rng.normal(0, 2, n)
-        e = explain_lpi(handle, x, ds, seed=int(rng.integers(1 << 30)))
+        e = explain_lpi(model, x, ds, seed=int(rng.integers(1 << 30)))
         closed = w * (x - ds.X_train.mean(axis=0))
         worst = max(worst, float(np.max(np.abs(e.phi - closed))))
     report(3, "LPI linear closed form over 100 fuzz cases (1e-9)",
@@ -210,11 +209,11 @@ def test_criterion_6_probability_target_same_winner(benchmark_grid):
 def test_criterion_7_model_accuracy_targets():
     iris = standardized("iris_binary")
     lr = train_logistic(iris.X_train, iris.y_train, search_trials=100, seed=0)
-    iris_acc = accuracy(ModelHandle("lr", lr), iris.X_test, iris.y_test)
+    iris_acc = accuracy(lr, iris.X_test, iris.y_test)
 
     banknote = standardized("banknote")
     gnb = train_gnb(banknote.X_train, banknote.y_train)
-    bank_acc = accuracy(ModelHandle("gnb", gnb), banknote.X_test, banknote.y_test)
+    bank_acc = accuracy(gnb, banknote.X_test, banknote.y_test)
 
     ok = iris_acc >= 0.95 and abs(bank_acc - 0.854) <= 0.05
     report(7, "iris LR accuracy >= 0.95; banknote GNB within 0.05 of 0.854",

@@ -13,12 +13,12 @@ from xplain import cli
 
 from conftest import DATASETS_DIR, SRC_DIR, wide_mixed_config, write_csv
 
+TRAIN_FLAGS = ["--trials", "4", "--seed", "7"]
 FAST_FLAGS = [
-    "--trials", "4",
+    *TRAIN_FLAGS,
     "--lime-samples", "300",
     "--shap-samples", "300",
     "--lpi-samples", "80",
-    "--seed", "7",
 ]
 
 
@@ -681,6 +681,9 @@ def test_benchmark_tracer_installs(tmp_path):
     assert {"evaluation.evaluate_instance", "evaluation.evaluate_dataset",
             "evaluation.spearman", "groundtruth.ground_truth",
             "models.predict_logodds"} <= {s[name] for s in spans}
+    # the tracer reads each family's name off the model it is given
+    for traced in ("explainers.explain", "models.predict_logodds"):
+        assert {s[attrs]["model"] for s in spans if s[name] == traced} == {"lr", "gnb"}
 
 
 def run_explain(extra):
@@ -782,7 +785,7 @@ class TestTrain:
         out = tmp_path / "iris_lr.json"
         code = cli.main([
             "train", "--dataset", ds_config("iris_binary"),
-            "--model", "lr", "--out", str(out), *FAST_FLAGS,
+            "--model", "lr", "--out", str(out), *TRAIN_FLAGS,
         ])
         assert code == 0
         line = capsys.readouterr().out.strip()
@@ -798,7 +801,7 @@ class TestTrain:
         for out in (a, b):
             code = cli.main([
                 "train", "--dataset", ds_config("banknote"),
-                "--model", "gnb", "--out", str(out), *FAST_FLAGS,
+                "--model", "gnb", "--out", str(out), *TRAIN_FLAGS,
             ])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
@@ -806,9 +809,20 @@ class TestTrain:
     def test_unreadable_path_exit_1(self, tmp_path):
         code = cli.main([
             "train", "--dataset", str(tmp_path / "ghost.json"),
-            "--model", "lr", *FAST_FLAGS,
+            "--model", "lr", *TRAIN_FLAGS,
         ])
         assert code == 1
+
+    def test_explainer_flag_is_a_usage_error(self, tmp_path, capsys):
+        """train reads no explainer flag, so passing one fails as any unknown
+        flag does."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--dataset", ds_config("iris_binary"), "--model", "lr",
+                      "--out", str(tmp_path / "m.json"), *TRAIN_FLAGS,
+                      "--lime-samples", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lime-samples 5" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_wide_mixed_sampled_shap_with_groups(tmp_path):

@@ -22,9 +22,9 @@ from xplain.evaluation import (
 )
 from xplain.explainers import ExplainerConfig, LimeConfig, LpiConfig, ShapConfig
 from xplain.groundtruth import ground_truth
-from xplain.models import ModelHandle, predict_proba, train_gnb, train_logistic
+from xplain.models import predict_proba, train_gnb, train_logistic
 
-from conftest import DATASETS_DIR, linear_handle, numeric_dataset, wide_mixed_dataset
+from conftest import DATASETS_DIR, linear_model, numeric_dataset, wide_mixed_dataset
 
 
 def brute_force_spearman(a, b):
@@ -113,23 +113,23 @@ class TestEvaluateInstance:
         X = rng.normal(0, 1, (200, 6))
         X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
         ds = numeric_dataset(X)
-        handle = linear_handle([1.4, -0.6, 2.2, 0.9, -1.8, 0.3])
-        _, ((score,),) = evaluate_instance(ds.X_test[1:2], handle, ["lpi"], "logodds", ds,
+        model = linear_model([1.4, -0.6, 2.2, 0.9, -1.8, 0.3])
+        _, ((score,),) = evaluate_instance(ds.X_test[1:2], model, ["lpi"], "logodds", ds,
                                            seeds=[7])
         assert score.r == 1.0
 
     def test_single_feature_too_short(self):
         ds = numeric_dataset(np.linspace(0, 1, 30).reshape(-1, 1))
-        handle = linear_handle([2.0])
+        model = linear_model([2.0])
         with pytest.raises(VectorTooShortError):
-            evaluate_instance(ds.X_test[:1], handle, ["lpi"], "logodds", ds, seeds=[0])
+            evaluate_instance(ds.X_test[:1], model, ["lpi"], "logodds", ds, seeds=[0])
 
     def test_one_instance_rejected(self):
         """Only a block (k, n) is accepted; one instance is a block of one."""
         ds = numeric_dataset(np.random.default_rng(5).normal(0, 1, (40, 3)))
-        handle = linear_handle([1.0, -0.5, 2.0])
+        model = linear_model([1.0, -0.5, 2.0])
         with pytest.raises(DimensionMismatchError):
-            evaluate_instance(ds.X_test[0], handle, ["lpi"], "logodds", ds, seeds=[0])
+            evaluate_instance(ds.X_test[0], model, ["lpi"], "logodds", ds, seeds=[0])
 
 
 class TestSummarize:
@@ -170,29 +170,29 @@ class TestEvaluateDataset:
         y[:2] = [0, 1]
         X[y == 1] += 0.7
         ds = numeric_dataset(X, X_test=X[:12], y_train=y, y_test=y[:12], name="mini")
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
         cfg = ExplainerConfig(
             lime=LimeConfig(samples=200),
             shap=ShapConfig(samples=200, background_size=30),
             lpi=LpiConfig(samples=40),
         )
-        return ds, handle, cfg
+        return ds, model, cfg
 
     def test_deterministic(self):
-        ds, handle, cfg = self.make()
-        a = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3)
-        b = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3)
+        ds, model, cfg = self.make()
+        a = evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3)
+        b = evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3)
         for s1, s2 in zip(a, b, strict=True):
             assert [x.r for x in s1.scores] == [x.r for x in s2.scores]
 
     def test_scores_indexed_by_instance(self):
-        ds, handle, cfg = self.make()
-        (s,) = evaluate_dataset(ds, handle, ["lpi"], "logodds", cfg, seed=1)
+        ds, model, cfg = self.make()
+        (s,) = evaluate_dataset(ds, model, ["lpi"], "logodds", cfg, seed=1)
         assert len(s.scores) == 12
         assert s.median == np.median([x.r for x in s.scores])
 
     def test_ground_truth_once_per_instance(self, monkeypatch):
-        ds, handle, cfg = self.make()
+        ds, model, cfg = self.make()
         calls = []
 
         def spy(model, x):
@@ -200,17 +200,17 @@ class TestEvaluateDataset:
             return ground_truth(model, x)
 
         monkeypatch.setattr(evaluation, "ground_truth", spy)
-        sets = evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3)
+        sets = evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3)
         assert len(calls) == 12
         assert [s.technique for s in sets] == ["lime", "lpi"]
         assert sets[0].ground_truths is sets[1].ground_truths
 
     def test_ground_truths_match_direct_extraction(self):
-        ds, handle, cfg = self.make()
-        for s in evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=3):
+        ds, model, cfg = self.make()
+        for s in evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3):
             assert len(s.ground_truths) == 12
             for k, gt in enumerate(s.ground_truths):
-                expected = ground_truth(handle, ds.X_test[k])
+                expected = ground_truth(model, ds.X_test[k])
                 assert np.array_equal(gt.lam, expected.lam)
                 assert gt.offset == expected.offset
 
@@ -219,12 +219,12 @@ class TestEvaluateDataset:
         """Blocks of 5 leave a last block of 2 and 64 one short block of 12;
         every score and ground truth equals the instance's own evaluation as
         a block of one."""
-        ds, handle, cfg = self.make()
+        ds, model, cfg = self.make()
         monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
         techniques = ["lime", "shap", "lpi"]
-        sets = evaluate_dataset(ds, handle, techniques, "probability", cfg, seed=3)
+        sets = evaluate_dataset(ds, model, techniques, "probability", cfg, seed=3)
         for k in range(12):
-            (gt,), scores = evaluate_instance(ds.X_test[k : k + 1], handle, techniques,
+            (gt,), scores = evaluate_instance(ds.X_test[k : k + 1], model, techniques,
                                               "probability", ds, cfg,
                                               seeds=[derive_seed(3, k)])
             assert np.array_equal(sets[0].ground_truths[k].lam, gt.lam)
@@ -238,7 +238,7 @@ class TestEvaluateDataset:
         _PACK_ROWS, is still scored alone. The rows scored do not change."""
         config = data.DatasetConfig.from_json(DATASETS_DIR / "pima.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
-        handle = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        model = train_gnb(ds.X_train, ds.y_train)
         cfg = ExplainerConfig(lime=LimeConfig(samples=1000), lpi=LpiConfig(samples=128))
         sizes = []
 
@@ -247,7 +247,7 @@ class TestEvaluateDataset:
             return predict_proba(model, X)
 
         monkeypatch.setattr(explainers, "predict_proba", spy)
-        evaluate_dataset(ds, handle, ["lime", "lpi"], "probability", cfg, seed=1)
+        evaluate_dataset(ds, model, ["lime", "lpi"], "probability", cfg, seed=1)
         assert len(ds.X_test) == 192
         assert sum(sizes) == 192 * (1000 + 1 + 8 * 128)
         assert max(sizes) <= explainers._BLOCK_ROWS
@@ -264,14 +264,14 @@ class TestEvaluateDataset:
             lpi=LpiConfig(samples=50),
         )
         techniques = ["lime", "shap", "lpi"]
-        for handle in (
-            ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=2, seed=1)),
-            ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train)),
+        for model in (
+            train_logistic(ds.X_train, ds.y_train, search_trials=2, seed=1),
+            train_gnb(ds.X_train, ds.y_train),
         ):
             runs = []
             for block in (5, 64):
                 monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
-                runs.append(evaluate_dataset(ds, handle, techniques, "logodds", cfg, seed=1))
+                runs.append(evaluate_dataset(ds, model, techniques, "logodds", cfg, seed=1))
             small, large = runs
             for s1, s2 in zip(small, large, strict=True):
                 assert np.array_equal([x.r for x in s1.scores], [x.r for x in s2.scores])
@@ -279,10 +279,10 @@ class TestEvaluateDataset:
                 assert np.array_equal(g1.lam, g2.lam) and g1.offset == g2.offset
 
     def test_empty_test_split_rejected(self):
-        ds, handle, cfg = self.make()
+        ds, model, cfg = self.make()
         empty = dataclasses.replace(ds, X_test=ds.X_test[:0])
         with pytest.raises(ValueError):
-            evaluate_dataset(empty, handle, ["lpi"], "logodds", cfg, seed=1)
+            evaluate_dataset(empty, model, ["lpi"], "logodds", cfg, seed=1)
 
 
 def score_set(dataset, technique, median):
@@ -345,11 +345,11 @@ def small_cell(name: str, kind: str, m: int):
     X[y == 1] += 0.7
     ds = numeric_dataset(X, X_test=X[:m], y_train=y, y_test=y[:m], name=name)
     if kind == "lr":
-        handle = linear_handle([0.8, -0.4, 1.1, 0.3])
+        model = linear_model([0.8, -0.4, 1.1, 0.3])
     else:
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
     cfg = ExplainerConfig(lime=LimeConfig(samples=100), lpi=LpiConfig(samples=20))
-    return ds, kind, evaluate_dataset(ds, handle, ["lime", "lpi"], "logodds", cfg, seed=2)
+    return ds, kind, evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=2)
 
 
 class TestReportSet:
@@ -370,14 +370,13 @@ class TestReportSet:
         cells = []
         for name in names:
             config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
-            ds, spec = data.preprocess_dataset(data.load_dataset(config), "standardize")
+            ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
             for kind in ("lr", "gnb"):
                 if kind == "lr":
                     model = train_logistic(ds.X_train, ds.y_train, search_trials=5, seed=7)
                 else:
                     model = train_gnb(ds.X_train, ds.y_train)
-                handle = ModelHandle(kind, model, spec)
-                sets = evaluate_dataset(ds, handle, techniques, "logodds", cfg, seed=7)
+                sets = evaluate_dataset(ds, model, techniques, "logodds", cfg, seed=7)
                 cells.append((ds, kind, sets))
         reports, rank_table, box_rows = report_set(cells, "standardize", "logodds", 7)
 

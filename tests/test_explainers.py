@@ -20,7 +20,6 @@ from xplain.explainers import (
 )
 from xplain.models import (
     PROBA_CLIP,
-    ModelHandle,
     _sigmoid,
     feature_terms,
     predict_logodds,
@@ -29,7 +28,7 @@ from xplain.models import (
     train_logistic,
 )
 
-from conftest import DATASETS_DIR, linear_handle, numeric_dataset, wide_mixed_dataset
+from conftest import DATASETS_DIR, linear_model, numeric_dataset, wide_mixed_dataset
 
 
 def unit_std_dataset(n=6, m=500, seed=0):
@@ -96,8 +95,8 @@ class TestLime:
     def test_recovers_linear_coefficients(self):
         ds = unit_std_dataset()
         w = np.array([2.0, -1.3, 0.7, 0.25, -0.4, 0.15])
-        handle = linear_handle(w, 0.3)
-        e = explain_lime(handle, ds.X_train[3], ds, seed=5)
+        model = linear_model(w, 0.3)
+        e = explain_lime(model, ds.X_train[3], ds, seed=5)
         rel = np.abs(e.phi - w) / np.abs(w)
         assert np.all(rel[np.abs(w) > 0.1] < 0.05)
         from xplain.evaluation import spearman
@@ -106,22 +105,22 @@ class TestLime:
     def test_irrelevant_feature_near_zero(self):
         ds = unit_std_dataset(seed=1)
         w = np.array([2.0, -1.5, 1.0, 0.0, 0.8, -0.6])
-        handle = linear_handle(w)
-        e = explain_lime(handle, ds.X_train[0], ds, seed=2)
+        model = linear_model(w)
+        e = explain_lime(model, ds.X_train[0], ds, seed=2)
         assert abs(e.phi[3]) < 0.05 * np.max(np.abs(e.phi))
 
     def test_deterministic(self):
         ds = unit_std_dataset(seed=2)
-        handle = linear_handle(np.ones(6))
-        a = explain_lime(handle, ds.X_train[1], ds, seed=9)
-        b = explain_lime(handle, ds.X_train[1], ds, seed=9)
+        model = linear_model(np.ones(6))
+        a = explain_lime(model, ds.X_train[1], ds, seed=9)
+        b = explain_lime(model, ds.X_train[1], ds, seed=9)
         assert np.array_equal(a.phi, b.phi)
-        c = explain_lime(handle, ds.X_train[1], ds, seed=10)
+        c = explain_lime(model, ds.X_train[1], ds, seed=10)
         assert not np.array_equal(a.phi, c.phi)
 
     def test_categorical_groups_resampled_whole(self):
         ds = categorical_dataset()
-        gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        gnb = train_gnb(ds.X_train, ds.y_train)
         e = explain_lime(gnb, ds.X_test[0], ds, seed=4)
         assert np.all(np.isfinite(e.phi))
         assert len(e.phi) == ds.n_features
@@ -130,7 +129,7 @@ class TestLime:
         iris = data.load_dataset(data.DatasetConfig.from_json(
             DATASETS_DIR / "iris_binary.json"))
         for ds in (iris, categorical_dataset()):
-            gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+            gnb = train_gnb(ds.X_train, ds.y_train)
             cfg = ExplainerConfig(lime=LimeConfig(samples=400))
             for i in range(3):
                 e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
@@ -153,26 +152,26 @@ class TestLime:
         X = np.array([[0.5, -1.0, 2.0]])
         ds = numeric_dataset(X, X_test=X + 1.0, y_train=[1], y_test=[0])
         assert explainers._lime_draws(ds) == []  # no column has a training spread
-        handle = linear_handle([1.0, 2.0, -1.0])
-        e = explain_lime(handle, ds.X_test[0], ds, seed=3)
+        model = linear_model([1.0, 2.0, -1.0])
+        e = explain_lime(model, ds.X_test[0], ds, seed=3)
         assert np.max(np.abs(e.phi)) < 1e-9  # every perturbation is x itself
-        assert np.array_equal(e.phi, _reference_lime(handle, ds.X_test[0], ds, 5000, seed=3))
+        assert np.array_equal(e.phi, _reference_lime(model, ds.X_test[0], ds, 5000, seed=3))
 
     def test_degenerate_weights_error(self):
         ds = unit_std_dataset(seed=3)
-        handle = linear_handle(np.ones(6))
+        model = linear_model(np.ones(6))
         cfg = ExplainerConfig(lime=LimeConfig(samples=100, kernel_width=1e-200))
         with pytest.raises(DegenerateWeightsError):
-            explain_lime(handle, ds.X_train[0], ds, cfg, seed=1)
+            explain_lime(model, ds.X_train[0], ds, cfg, seed=1)
 
 
 class TestShap:
     def test_single_feature(self):
         ds = numeric_dataset(np.linspace(0, 1, 20).reshape(-1, 1))
-        handle = linear_handle([2.0], 1.0)
+        model = linear_model([2.0], 1.0)
         x = np.array([0.75])
-        e = explain_shap(handle, x, ds, seed=1)
-        f = lambda Z: predict_logodds(handle, Z)
+        e = explain_shap(model, x, ds, seed=1)
+        f = lambda Z: predict_logodds(model, Z)
         expected = f(x) - np.mean(f(ds.X_train))
         assert e.phi[0] == pytest.approx(expected, abs=1e-12)
         assert e.sample_count == 2**1
@@ -183,17 +182,17 @@ class TestShap:
         for n in (2, 5, 12):
             ds = numeric_dataset(rng.normal(0, 1, (90, n)))
             w = rng.normal(0, 1.5, n)
-            handle = linear_handle(w, rng.normal())
+            model = linear_model(w, rng.normal())
             x = rng.normal(0, 1, n)
-            e = explain_shap(handle, x, ds, seed=3)
+            e = explain_shap(model, x, ds, seed=3)
             closed = w * (x - ds.X_train.mean(axis=0))
             assert np.max(np.abs(e.phi - closed)) < 1e-6
             assert e.sample_count == 2**n
 
     def test_constant_model_zero(self):
         ds = numeric_dataset(np.random.default_rng(7).normal(0, 1, (50, 4)))
-        handle = linear_handle(np.zeros(4), 2.5)
-        e = explain_shap(handle, np.ones(4), ds, seed=2)
+        model = linear_model(np.zeros(4), 2.5)
+        e = explain_shap(model, np.ones(4), ds, seed=2)
         assert np.max(np.abs(e.phi)) < 1e-9
 
     def test_symmetry(self):
@@ -201,16 +200,16 @@ class TestShap:
         col = rng.normal(0, 1, 60)
         X = np.column_stack([col, col, rng.normal(0, 1, 60)])
         ds = numeric_dataset(X)
-        handle = linear_handle([1.3, 1.3, -0.5])
+        model = linear_model([1.3, 1.3, -0.5])
         x = np.array([0.8, 0.8, 0.1])
-        e = explain_shap(handle, x, ds, seed=5)
+        e = explain_shap(model, x, ds, seed=5)
         assert abs(e.phi[0] - e.phi[1]) < 1e-6
 
     def test_dummy_feature_zero(self):
         rng = np.random.default_rng(9)
         ds = numeric_dataset(rng.normal(0, 1, (80, 5)))
-        handle = linear_handle([1.0, 0.0, -2.0, 0.5, 0.0])
-        e = explain_shap(handle, rng.normal(0, 1, 5), ds, seed=6)
+        model = linear_model([1.0, 0.0, -2.0, 0.5, 0.0])
+        e = explain_shap(model, rng.normal(0, 1, 5), ds, seed=6)
         assert abs(e.phi[1]) < 1e-9 and abs(e.phi[4]) < 1e-9
 
     def test_local_accuracy_nonlinear(self):
@@ -219,11 +218,11 @@ class TestShap:
         y = (rng.random(120) < 0.5).astype(int)
         X[y == 1] += 0.8
         ds = numeric_dataset(X, y_train=y)
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
         x = rng.normal(0, 1, 6)
         for target, f in (("logodds", predict_logodds), ("probability", predict_proba)):
-            e = explain_shap(handle, x, ds, seed=7, target_space=target)
-            assert abs(e.base_value + e.phi.sum() - f(handle, x)) < 1e-6
+            e = explain_shap(model, x, ds, seed=7, target_space=target)
+            assert abs(e.base_value + e.phi.sum() - f(model, x)) < 1e-6
 
     def test_sampled_path_linear_exact(self):
         # n > 13 takes the kernel-sampled route; a linear target is still fit
@@ -232,10 +231,10 @@ class TestShap:
         n = 18
         ds = numeric_dataset(rng.normal(0, 1, (95, n)))
         w = rng.normal(0, 1, n)
-        handle = linear_handle(w, 0.4)
+        model = linear_model(w, 0.4)
         x = rng.normal(0, 1, n)
         cfg = ExplainerConfig(shap=ShapConfig(samples=3000))
-        e = explain_shap(handle, x, ds, cfg, seed=8)
+        e = explain_shap(model, x, ds, cfg, seed=8)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-6
         # draws come in complement pairs after empty + full, so 3000 draws exactly
@@ -244,11 +243,11 @@ class TestShap:
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         ds = numeric_dataset(rng.normal(0, 1, (300, 15)))
-        handle = linear_handle(rng.normal(0, 1, 15))
+        model = linear_model(rng.normal(0, 1, 15))
         x = rng.normal(0, 1, 15)
         cfg = ExplainerConfig(shap=ShapConfig(samples=500))
-        a = explain_shap(handle, x, ds, cfg, seed=1)
-        b = explain_shap(handle, x, ds, cfg, seed=1)
+        a = explain_shap(model, x, ds, cfg, seed=1)
+        b = explain_shap(model, x, ds, cfg, seed=1)
         assert np.array_equal(a.phi, b.phi)
 
 
@@ -259,7 +258,7 @@ class TestShap:
         rng = np.random.default_rng(samples)
         X = rng.normal(0, 1, (60, 16))
         ds = numeric_dataset(X)
-        handle = linear_handle(rng.normal(0, 1, 16), 0.2)
+        model = linear_model(rng.normal(0, 1, 16), 0.2)
         lstsq, calls = np.linalg.lstsq, []
 
         def spy(*args, **kwargs):
@@ -268,10 +267,10 @@ class TestShap:
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
         cfg = ExplainerConfig(shap=ShapConfig(samples=samples))
-        e = explain_shap(handle, X[0], ds, cfg, seed=1)
+        e = explain_shap(model, X[0], ds, cfg, seed=1)
         assert calls == [(15, 15)]
         assert np.all(np.isfinite(e.phi))
-        fx = predict_logodds(handle, X[:1])[0]
+        fx = predict_logodds(model, X[:1])[0]
         assert abs(e.base_value + e.phi.sum() - fx) < 1e-9
 
 
@@ -441,19 +440,19 @@ class TestCoalitionValues:
         X = rng.normal(0, 1, (B + 40, n)) * rng.uniform(0.5, 2.0, n)
         y = (rng.random(len(X)) < 0.5).astype(int)
         y[:2] = [0, 1]
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
         calls = []
 
         def f(Z):
             calls.append(len(Z))
-            return predict_logodds(handle, Z)
+            return predict_logodds(model, Z)
 
         x, background = X[-1], X[:B]
         pieces = explainers._coalition_rows(masks, x, background)
         values = explainers._coalition_values(
             explainers._score_packed(f, pieces), len(masks), B)
         whole = np.where(masks[:, None, :], x, background[None, :, :])
-        single = predict_logodds(handle, whole.reshape(-1, n)).reshape(len(masks), B).mean(axis=1)
+        single = predict_logodds(model, whole.reshape(-1, n)).reshape(len(masks), B).mean(axis=1)
         return values, single, calls
 
     @pytest.mark.parametrize("n,B,sampled", [(4, 3, False), (12, 3, False), (12, 100, False),
@@ -504,22 +503,22 @@ class TestGnbAdditiveOracle:
         y[:2] = [0, 1]
         X[y == 1] += rng.normal(0, 0.8, n)
         ds = numeric_dataset(X, y_train=y)  # <= 100 rows: the background is X
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
         x = rng.normal(0, 1, n)
-        closed = feature_terms(handle, x)[1] - feature_terms(handle, X)[1].mean(axis=0)
-        return ds, handle, x, closed
+        closed = feature_terms(model, x)[1] - feature_terms(model, X)[1].mean(axis=0)
+        return ds, model, x, closed
 
     @pytest.mark.parametrize("n,samples", [(5, 5000), (12, 5000), (16, 3000), (18, 1300)])
     def test_shap(self, n, samples):
-        ds, handle, x, closed = self._setup(n, seed=n)
+        ds, model, x, closed = self._setup(n, seed=n)
         cfg = ExplainerConfig(shap=ShapConfig(samples=samples))
-        e = explain_shap(handle, x, ds, cfg, seed=1)
+        e = explain_shap(model, x, ds, cfg, seed=1)
         assert e.sample_count == (2**n if n <= explainers.EXACT_SHAP_LIMIT else samples)
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
     def test_full_permutation_lpi(self):
-        ds, handle, x, closed = self._setup(7, seed=23)
-        e = explain_lpi(handle, x, ds, seed=2)
+        ds, model, x, closed = self._setup(7, seed=23)
+        e = explain_lpi(model, x, ds, seed=2)
         assert e.sample_count == ds.X_train.shape[0]
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
@@ -533,15 +532,15 @@ def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
     n, m = ds.n_features, ds.X_train.shape[0]
     assert n > explainers.EXACT_SHAP_LIMIT
     cfg = ExplainerConfig(shap=ShapConfig(samples=1300, background_size=m))
-    for handle in (ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=3)),
-                   ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))):
-        mean_lam = feature_terms(handle, ds.X_train)[1].mean(axis=0)
+    for model in (train_logistic(ds.X_train, ds.y_train, search_trials=3),
+                   train_gnb(ds.X_train, ds.y_train)):
+        mean_lam = feature_terms(model, ds.X_train)[1].mean(axis=0)
         for i in range(4):
             x = ds.X_test[i]
-            e = explain_shap(handle, x, ds, cfg, seed=i)
+            e = explain_shap(model, x, ds, cfg, seed=i)
             assert e.sample_count == 1300
-            closed = feature_terms(handle, x)[1] - mean_lam
-            assert np.max(np.abs(e.phi - closed)) < 1e-12, (handle.kind, i)
+            closed = feature_terms(model, x)[1] - mean_lam
+            assert np.max(np.abs(e.phi - closed)) < 1e-12, (model.kind, i)
 
 
 class TestBlocks:
@@ -563,14 +562,14 @@ class TestBlocks:
             ds = wide_mixed_dataset(tmp_path)
             cfg = ExplainerConfig(lime=LimeConfig(samples=300),
                                   shap=ShapConfig(samples=300, background_size=40))
-        handles = [ModelHandle("lr", train_logistic(ds.X_train, ds.y_train, search_trials=2)),
-                   ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))]
-        return ds, cfg, handles
+        models = [train_logistic(ds.X_train, ds.y_train, search_trials=2),
+                   train_gnb(ds.X_train, ds.y_train)]
+        return ds, cfg, models
 
     @staticmethod
-    def _assert_block_is_stacked_singles(technique, target, handle, X, ds, cfg, seeds):
-        block = explain(technique, target, handle, X, ds, cfg, seeds)
-        singles = [explain(technique, target, handle, x, ds, cfg, s) for x, s in zip(X, seeds)]
+    def _assert_block_is_stacked_singles(technique, target, model, X, ds, cfg, seeds):
+        block = explain(technique, target, model, X, ds, cfg, seeds)
+        singles = [explain(technique, target, model, x, ds, cfg, s) for x, s in zip(X, seeds)]
         assert block.phi.shape == X.shape
         assert np.array_equal(block.phi, np.stack([e.phi for e in singles]))
         assert all(block.sample_count == e.sample_count for e in singles)
@@ -582,14 +581,14 @@ class TestBlocks:
 
     @pytest.mark.parametrize("name", ["iris_binary", "categorical", "wide-mixed"])
     def test_block_equals_stacked_singles(self, name, tmp_path):
-        ds, cfg, handles = self._case(name, tmp_path)
+        ds, cfg, models = self._case(name, tmp_path)
         X = ds.X_test[:5]
         seeds = [derive_seed(3, k) for k in range(len(X))]
-        for handle in handles:
+        for model in models:
             for technique in TECHNIQUES:
                 for target in TARGET_SPACES:
                     self._assert_block_is_stacked_singles(
-                        technique, target, handle, X, ds, cfg, seeds)
+                        technique, target, model, X, ds, cfg, seeds)
 
     @pytest.mark.parametrize("name,calls", [("iris_binary", 1), ("wide-mixed", 16)])
     def test_shap_call_packing(self, name, calls, tmp_path, monkeypatch):
@@ -614,7 +613,7 @@ class TestBlocks:
         not S is small enough for SHAP and LPI to pack it with others."""
         ds = categorical_dataset()
         cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
-        gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        gnb = train_gnb(ds.X_train, ds.y_train)
         sizes = []
 
         def spy(model, X):
@@ -628,7 +627,7 @@ class TestBlocks:
     def test_lpi_oversized_pieces_scored_alone(self, monkeypatch):
         rng = np.random.default_rng(4)
         ds = numeric_dataset(rng.normal(0, 1, (60, 3)))
-        handle = linear_handle([0.5, -1.0, 2.0])
+        model = linear_model([0.5, -1.0, 2.0])
         S = explainers._BLOCK_ROWS + 1
         cfg = ExplainerConfig(lpi=LpiConfig(samples=S))
         sizes = []
@@ -638,7 +637,7 @@ class TestBlocks:
             return predict_logodds(model, X)
 
         monkeypatch.setattr(explainers, "predict_logodds", spy)
-        self._assert_block_is_stacked_singles("lpi", "logodds", handle, ds.X_test[:3], ds, cfg,
+        self._assert_block_is_stacked_singles("lpi", "logodds", model, ds.X_test[:3], ds, cfg,
                                               [7, 8, 9])
         # the block's calls, then the three single-instance ones: per
         # instance its f(x) row, then each of its three slots alone
@@ -649,7 +648,7 @@ class TestBlocks:
         ds = numeric_dataset(np.random.default_rng(2).normal(0, 1, (20, 3)))
         x = ds.X_test[0] if x_rows is None else ds.X_test[:x_rows]
         with pytest.raises(DimensionMismatchError) as err:
-            explain("lpi", "logodds", linear_handle([1.0, 2.0, 3.0]), x, ds, seed=seed)
+            explain("lpi", "logodds", linear_model([1.0, 2.0, 3.0]), x, ds, seed=seed)
         assert "\n" not in str(err.value)
 
 
@@ -690,19 +689,19 @@ class TestLayout:
 
     @pytest.mark.parametrize("name", ["iris_binary", "categorical", "wide-mixed"])
     def test_phi_equals_row_major_scorer(self, name, tmp_path, monkeypatch):
-        ds, cfg, handles = TestBlocks._case(name, tmp_path)
+        ds, cfg, models = TestBlocks._case(name, tmp_path)
         X, seeds = ds.X_test[:3], [4, 5, 6]
         got = {}
-        for handle in handles:
+        for model in models:
             for technique in TECHNIQUES:
                 for target in TARGET_SPACES:
-                    got[handle.kind, technique, target] = explain(
-                        technique, target, handle, X, ds, cfg, seeds)
+                    got[model.kind, technique, target] = explain(
+                        technique, target, model, X, ds, cfg, seeds)
         monkeypatch.setattr(explainers, "predict_logodds", _reference_logodds)
         monkeypatch.setattr(explainers, "predict_proba", _reference_proba)
         for (kind, technique, target), e in got.items():
-            handle = handles[0] if kind == "lr" else handles[1]
-            ref = explain(technique, target, handle, X, ds, cfg, seeds)
+            model = models[0] if kind == "lr" else models[1]
+            ref = explain(technique, target, model, X, ds, cfg, seeds)
             assert np.array_equal(e.phi, ref.phi), (kind, technique, target)
             if technique == "shap":
                 assert np.array_equal(e.base_value, ref.base_value)
@@ -736,7 +735,7 @@ class TestLayout:
         assert [np.ndim(stat) for _, _, stat in draws] == [2, 1, 2, 1, 2]
         # the flat column (slot 1, training std 0) is not drawn
         assert draws[0][0] == [0] and draws[0][1].tolist() == [0]
-        gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        gnb = train_gnb(ds.X_train, ds.y_train)
         for i, samples in enumerate((1, 7, 400)):
             cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
             e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
@@ -750,18 +749,18 @@ class TestLpi:
         X[:, 1] = np.linspace(0, 1, 30)
         X[:, 2] = np.linspace(-1, 1, 30)
         ds = numeric_dataset(X)
-        handle = linear_handle([2.0, 1.0, 1.0])
+        model = linear_model([2.0, 1.0, 1.0])
         x = np.array([1.0, 0.5, 0.0])  # x[0] equals the constant column
-        e = explain_lpi(handle, x, ds, seed=3)
+        e = explain_lpi(model, x, ds, seed=3)
         assert e.phi[0] == 0.0
 
     def test_linear_closed_form(self):
         rng = np.random.default_rng(13)
         ds = numeric_dataset(rng.normal(1.5, 2.0, (97, 5)))
         w = rng.normal(0, 1, 5)
-        handle = linear_handle(w, -0.2)
+        model = linear_model(w, -0.2)
         x = rng.normal(0, 1, 5)
-        e = explain_lpi(handle, x, ds, seed=4)
+        e = explain_lpi(model, x, ds, seed=4)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
@@ -770,10 +769,10 @@ class TestLpi:
         m = 41
         ds = numeric_dataset(rng.normal(0, 1, (m, 3)))
         w = np.array([1.0, -2.0, 0.5])
-        handle = linear_handle(w)
+        model = linear_model(w)
         x = rng.normal(0, 1, 3)
         cfg = ExplainerConfig(lpi=LpiConfig(samples=2 * m))  # two full permutations
-        e = explain_lpi(handle, x, ds, cfg, seed=5)
+        e = explain_lpi(model, x, ds, cfg, seed=5)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-9
         assert e.sample_count == 2 * m
@@ -781,13 +780,13 @@ class TestLpi:
     def test_zero_weight_exact_zero(self):
         rng = np.random.default_rng(15)
         ds = numeric_dataset(rng.normal(0, 1, (50, 4)))
-        handle = linear_handle([1.0, 0.0, 2.0, 0.0])
-        e = explain_lpi(handle, rng.normal(0, 1, 4), ds, seed=6)
+        model = linear_model([1.0, 0.0, 2.0, 0.0])
+        e = explain_lpi(model, rng.normal(0, 1, 4), ds, seed=6)
         assert e.phi[1] == 0.0 and e.phi[3] == 0.0
 
     def test_groups_share_score_and_stay_valid(self):
         ds = categorical_dataset(seed=1)
-        gnb = ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train))
+        gnb = train_gnb(ds.X_train, ds.y_train)
         e = explain_lpi(gnb, ds.X_test[0], ds, seed=7)
         (group,) = ds.groups
         values = e.phi[list(group.indices)]
@@ -797,22 +796,22 @@ class TestLpi:
     def test_absolute_mode_dominates_signed(self):
         rng = np.random.default_rng(16)
         ds = numeric_dataset(rng.normal(0, 1, (60, 4)))
-        handle = linear_handle(rng.normal(0, 1, 4))
+        model = linear_model(rng.normal(0, 1, 4))
         x = rng.normal(0, 1, 4)
-        signed = explain_lpi(handle, x, ds, seed=8)
+        signed = explain_lpi(model, x, ds, seed=8)
         absolute = explain_lpi(
-            handle, x, ds, ExplainerConfig(lpi=LpiConfig(absolute=True)), seed=8
+            model, x, ds, ExplainerConfig(lpi=LpiConfig(absolute=True)), seed=8
         )
         assert np.all(absolute.phi >= np.abs(signed.phi) - 1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(17)
         ds = numeric_dataset(rng.normal(0, 1, (60, 4)))
-        handle = linear_handle(rng.normal(0, 1, 4))
+        model = linear_model(rng.normal(0, 1, 4))
         x = rng.normal(0, 1, 4)
         assert np.array_equal(
-            explain_lpi(handle, x, ds, seed=9).phi,
-            explain_lpi(handle, x, ds, seed=9).phi,
+            explain_lpi(model, x, ds, seed=9).phi,
+            explain_lpi(model, x, ds, seed=9).phi,
         )
 
 
@@ -820,29 +819,35 @@ class TestDispatch:
     def test_probability_local_accuracy(self):
         rng = np.random.default_rng(18)
         ds = numeric_dataset(rng.normal(0, 1, (70, 5)))
-        handle = linear_handle(rng.normal(0, 1, 5), 0.3)
+        model = linear_model(rng.normal(0, 1, 5), 0.3)
         x = rng.normal(0, 1, 5)
-        e = explain("shap", "probability", handle, x, ds, seed=1)
-        assert abs(e.base_value + e.phi.sum() - predict_proba(handle, x)) < 1e-6
+        e = explain("shap", "probability", model, x, ds, seed=1)
+        assert abs(e.base_value + e.phi.sum() - predict_proba(model, x)) < 1e-6
 
     def test_lpi_sign_pattern_monotone_link(self):
         rng = np.random.default_rng(19)
         ds = numeric_dataset(rng.normal(0, 1, (60, 3)))
-        handle = linear_handle([1.5, 0.0, 0.0], 0.0)
+        model = linear_model([1.5, 0.0, 0.0], 0.0)
         x = np.array([2.0, 0.3, -0.4])
-        lo = explain("lpi", "logodds", handle, x, ds, seed=2)
-        pr = explain("lpi", "probability", handle, x, ds, seed=2)
+        lo = explain("lpi", "logodds", model, x, ds, seed=2)
+        pr = explain("lpi", "probability", model, x, ds, seed=2)
         assert np.array_equal(np.sign(lo.phi), np.sign(pr.phi))
 
     def test_unknown_technique(self):
         ds = numeric_dataset(np.zeros((10, 2)))
         with pytest.raises(UnknownTechniqueError):
-            explain("saliency", "logodds", linear_handle([1, 1]), np.zeros(2), ds)
+            explain("saliency", "logodds", linear_model([1, 1]), np.zeros(2), ds)
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_non_model_is_a_type_error(self, technique):
+        ds = numeric_dataset(np.random.default_rng(20).normal(0, 1, (10, 2)))
+        with pytest.raises(TypeError, match="^not a model: object$"):
+            explain(technique, "logodds", object(), np.zeros(2), ds)
 
     def test_unknown_target_space(self):
         ds = numeric_dataset(np.zeros((10, 2)))
         with pytest.raises(ValueError):
-            explain("lime", "odds", linear_handle([1, 1]), np.zeros(2), ds)
+            explain("lime", "odds", linear_model([1, 1]), np.zeros(2), ds)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -868,16 +873,15 @@ def test_finite_phi_on_every_bundled_dataset_both_models():
     for name in BUNDLED:
         config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
-        handles = [
-            ModelHandle("lr", train_logistic(ds.X_train, ds.y_train,
-                                             search_trials=3, seed=0)),
-            ModelHandle("gnb", train_gnb(ds.X_train, ds.y_train)),
+        models = [
+            train_logistic(ds.X_train, ds.y_train, search_trials=3, seed=0),
+            train_gnb(ds.X_train, ds.y_train),
         ]
-        for handle in handles:
+        for model in models:
             for technique in ("lime", "shap", "lpi"):
                 for target in ("logodds", "probability"):
-                    e = explain(technique, target, handle, ds.X_test[0], ds, cfg, seed=3)
-                    assert np.all(np.isfinite(e.phi)), (name, handle.kind, technique, target)
+                    e = explain(technique, target, model, ds.X_test[0], ds, cfg, seed=3)
+                    assert np.all(np.isfinite(e.phi)), (name, model.kind, technique, target)
 
 
 def test_all_techniques_finite_on_mixed_models():
@@ -892,9 +896,9 @@ def test_all_techniques_finite_on_mixed_models():
         shap=ShapConfig(samples=300, background_size=40),
         lpi=LpiConfig(samples=60),
     )
-    handles = [linear_handle(rng.normal(0, 1, 5)), ModelHandle("gnb", train_gnb(X, y))]
-    for handle in handles:
+    models = [linear_model(rng.normal(0, 1, 5)), train_gnb(X, y)]
+    for model in models:
         for technique in ("lime", "shap", "lpi"):
             for target in ("logodds", "probability"):
-                e = explain(technique, target, handle, ds.X_test[0], ds, cfg, seed=11)
+                e = explain(technique, target, model, ds.X_test[0], ds, cfg, seed=11)
                 assert np.all(np.isfinite(e.phi)), (technique, target)

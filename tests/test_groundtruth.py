@@ -6,7 +6,6 @@ from xplain.groundtruth import ground_truth
 from xplain.models import (
     GaussianNBModel,
     LogisticModel,
-    ModelHandle,
     predict_logodds,
 )
 
@@ -118,7 +117,7 @@ def test_dispatch_matches_specific():
     x = rng.normal(0, 1, 4)
     lr = random_lr(rng, 4)
     gnb = random_gnb(rng, 4)
-    assert np.array_equal(ground_truth(ModelHandle("lr", lr), x).lam,
+    assert np.array_equal(ground_truth(lr, x).lam,
                           ground_truth(lr, x).lam)
-    assert np.array_equal(ground_truth(ModelHandle("gnb", gnb), x).lam,
+    assert np.array_equal(ground_truth(gnb, x).lam,
                           ground_truth(gnb, x).lam)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,11 +11,10 @@ from xplain.models import (
     PROBA_CLIP,
     GaussianNBModel,
     LogisticModel,
-    ModelHandle,
     accuracy,
     feature_terms,
     fit_logistic,
-    handle_to_dict,
+    model_to_dict,
     predict_logodds,
     predict_proba,
     _row_sum,
@@ -45,8 +45,7 @@ class TestTrainLogistic:
     def test_separable_toy(self):
         X, y = separable_data()
         model = train_logistic(X, y, search_trials=10, seed=1)
-        handle = ModelHandle("lr", model)
-        assert accuracy(handle, X, y) == 1.0
+        assert accuracy(model, X, y) == 1.0
         assert abs(model.weights[0]) > 3 * abs(model.weights[1])
 
     def test_strength_zero_matches_slow_gradient_descent(self):
@@ -81,10 +80,9 @@ class TestTrainLogistic:
         X, y = noisy_data(seed=3)
         fit = fit_logistic(X, y, "l1", 1e7)
         assert np.all(fit.weights == 0.0)
-        handle = ModelHandle("lr", fit)
         x = np.random.default_rng(0).normal(0, 5, 4)
         expected = 1.0 / (1.0 + math.exp(-fit.intercept))
-        assert abs(predict_proba(handle, x) - expected) < 1e-12
+        assert abs(predict_proba(fit, x) - expected) < 1e-12
 
     def test_determinism(self):
         X, y = noisy_data(seed=7)
@@ -98,7 +96,7 @@ class TestTrainLogistic:
         config = data.DatasetConfig.from_json(DATASETS_DIR / "iris_binary.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
         model = train_logistic(ds.X_train, ds.y_train, search_trials=10, seed=0)
-        assert accuracy(ModelHandle("lr", model), ds.X_test, ds.y_test) >= 0.95
+        assert accuracy(model, ds.X_test, ds.y_test) >= 0.95
 
     def test_no_converged_trial_raises(self):
         X, y = noisy_data(seed=1)
@@ -122,7 +120,7 @@ class TestTrainGnb:
         config = data.DatasetConfig.from_json(DATASETS_DIR / "banknote.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
         model = train_gnb(ds.X_train, ds.y_train)
-        acc = accuracy(ModelHandle("gnb", model), ds.X_test, ds.y_test)
+        acc = accuracy(model, ds.X_test, ds.y_test)
         assert abs(acc - 0.854) <= 0.05
 
     def test_train_accuracy_beats_majority_on_bundled(self):
@@ -131,7 +129,7 @@ class TestTrainGnb:
             ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
             model = train_gnb(ds.X_train, ds.y_train)
             majority = max(np.mean(ds.y_train), 1 - np.mean(ds.y_train))
-            acc = accuracy(ModelHandle("gnb", model), ds.X_train, ds.y_train)
+            acc = accuracy(model, ds.X_train, ds.y_train)
             assert acc >= majority, name
 
     def test_single_class_rejected(self):
@@ -141,17 +139,15 @@ class TestTrainGnb:
 
 class TestPredict:
     def test_zero_weights_half(self):
-        handle = ModelHandle("lr", LogisticModel(np.zeros(3), 0.0, "l2", 0.0))
+        model = LogisticModel(np.zeros(3), 0.0, "l2", 0.0)
         for x in (np.zeros(3), np.array([5.0, -2.0, 100.0])):
-            assert predict_proba(handle, x) == 0.5
+            assert predict_proba(model, x) == 0.5
 
     def test_lr_proba_value(self):
-        handle = ModelHandle(
-            "lr", LogisticModel(np.array([0.5, -1.0, 2.0]), 0.1, "l2", 0.0)
-        )
+        model = LogisticModel(np.array([0.5, -1.0, 2.0]), 0.1, "l2", 0.0)
         x = np.array([2.0, 1.0, 0.5])
-        assert abs(predict_proba(handle, x) - 0.7502601055951177) < 1e-12
-        assert abs(predict_logodds(handle, x) - 1.1) < 1e-15
+        assert abs(predict_proba(model, x) - 0.7502601055951177) < 1e-12
+        assert abs(predict_logodds(model, x) - 1.1) < 1e-15
 
     def test_lr_logodds_identity_exact(self):
         rng = np.random.default_rng(4)
@@ -160,52 +156,51 @@ class TestPredict:
             w = rng.normal(0, 2, n)
             b = float(rng.normal())
             x = rng.normal(0, 3, n)
-            handle = ModelHandle("lr", LogisticModel(w, b, "l2", 0.0))
-            assert predict_logodds(handle, x) - (b + np.sum(w * x)) == 0.0
+            model = LogisticModel(w, b, "l2", 0.0)
+            assert predict_logodds(model, x) - (b + np.sum(w * x)) == 0.0
 
     def test_gnb_symmetric_model(self):
         model = GaussianNBModel(
             mean0=np.zeros(3), mean1=np.zeros(3),
             var0=np.ones(3), var1=np.ones(3), prior0=0.5, prior1=0.5,
         )
-        handle = ModelHandle("gnb", model)
         x = np.array([1.0, -2.0, 0.3])
-        assert predict_proba(handle, x) == pytest.approx(0.5, abs=1e-12)
-        assert predict_logodds(handle, x) == 0.0
+        assert predict_proba(model, x) == pytest.approx(0.5, abs=1e-12)
+        assert predict_logodds(model, x) == 0.0
 
     def test_logit_consistency(self):
         rng = np.random.default_rng(8)
         X = rng.normal(0, 1, (300, 5))
         y = (rng.random(300) < 0.5).astype(int)
         X[y == 1] += rng.normal(0.5, 0.3, 5)
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
         checked = 0
         for _ in range(500):
             x = rng.normal(0, 2, 5)
-            lo = predict_logodds(handle, x)
+            lo = predict_logodds(model, x)
             if abs(lo) < 25:
-                p = predict_proba(handle, x)
+                p = predict_proba(model, x)
                 assert abs(math.log(p / (1 - p)) - lo) < 1e-9
                 checked += 1
         assert checked > 100
 
     def test_proba_clipped(self):
-        handle = ModelHandle("lr", LogisticModel(np.array([100.0]), 0.0, "l2", 0.0))
-        assert predict_proba(handle, np.array([10.0])) == 1.0 - 1e-12
-        assert predict_proba(handle, np.array([-10.0])) == 1e-12
+        model = LogisticModel(np.array([100.0]), 0.0, "l2", 0.0)
+        assert predict_proba(model, np.array([10.0])) == 1.0 - 1e-12
+        assert predict_proba(model, np.array([-10.0])) == 1e-12
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(10)
         X = rng.normal(0, 1, (40, 4))
         y = (rng.random(40) < 0.5).astype(int)
         y[:2] = [0, 1]
-        for handle in (
-            ModelHandle("lr", LogisticModel(rng.normal(0, 1, 4), 0.2, "l2", 0.0)),
-            ModelHandle("gnb", train_gnb(X, y)),
+        for model in (
+            LogisticModel(rng.normal(0, 1, 4), 0.2, "l2", 0.0),
+            train_gnb(X, y),
         ):
-            batch = predict_logodds(handle, X)
+            batch = predict_logodds(model, X)
             for i in range(5):
-                assert batch[i] == pytest.approx(predict_logodds(handle, X[i]), abs=1e-12)
+                assert batch[i] == pytest.approx(predict_logodds(model, X[i]), abs=1e-12)
 
     def test_proba_is_clipped_sigmoid_of_logodds(self):
         rng = np.random.default_rng(12)
@@ -213,16 +208,16 @@ class TestPredict:
         y = (rng.random(60) < 0.5).astype(int)
         y[:2] = [0, 1]
         batch = rng.normal(0, 8, (50, 4))  # wide enough to reach the clip
-        for handle in (
-            ModelHandle("lr", LogisticModel(rng.normal(0, 3, 4), 0.2, "l2", 0.0)),
-            ModelHandle("gnb", train_gnb(X, y)),
+        for model in (
+            LogisticModel(rng.normal(0, 3, 4), 0.2, "l2", 0.0),
+            train_gnb(X, y),
         ):
             expected = np.clip(
-                _sigmoid(predict_logodds(handle, batch)), PROBA_CLIP, 1.0 - PROBA_CLIP
+                _sigmoid(predict_logodds(model, batch)), PROBA_CLIP, 1.0 - PROBA_CLIP
             )
-            assert np.array_equal(predict_proba(handle, batch), expected)
+            assert np.array_equal(predict_proba(model, batch), expected)
             for i in range(5):
-                single = predict_proba(handle, batch[i])
+                single = predict_proba(model, batch[i])
                 assert isinstance(single, float)
                 assert single == expected[i]
 
@@ -253,14 +248,26 @@ class TestPredict:
             assert np.array_equal(got[num].view(np.int64), want[num].view(np.int64)), z
 
     def test_dimension_mismatch(self):
-        handle = ModelHandle("lr", LogisticModel(np.zeros(3), 0.0, "l2", 0.0))
+        model = LogisticModel(np.zeros(3), 0.0, "l2", 0.0)
         with pytest.raises(DimensionMismatchError):
-            predict_proba(handle, np.zeros(4))
+            predict_proba(model, np.zeros(4))
 
     def test_nonfinite_input(self):
-        handle = ModelHandle("lr", LogisticModel(np.zeros(2), 0.0, "l2", 0.0))
+        model = LogisticModel(np.zeros(2), 0.0, "l2", 0.0)
         with pytest.raises(ValueError):
-            predict_logodds(handle, np.array([1.0, np.nan]))
+            predict_logodds(model, np.array([1.0, np.nan]))
+
+    def test_non_model_is_a_type_error(self):
+        for score in (feature_terms, predict_logodds):
+            with pytest.raises(TypeError, match="^not a model: object$"):
+                score(object(), np.zeros(3))
+
+    def test_family_is_a_class_attribute(self):
+        """kind names the family without being a dataclass field, so ==, repr
+        and the model record's fields leave it out."""
+        assert (LogisticModel.kind, GaussianNBModel.kind) == ("lr", "gnb")
+        for cls in (LogisticModel, GaussianNBModel):
+            assert "kind" not in {f.name for f in dataclasses.fields(cls)}
 
 
 def _bits(a):
@@ -315,18 +322,18 @@ class TestRowSum:
             layouts = [rows, np.asfortranarray(rows),
                        np.asfortranarray(np.repeat(rows, 2, axis=0))[::2],  # strided rows
                        np.hstack([rows, rows])[:, :n]]                   # strided columns
-            for handle in (
-                ModelHandle("lr", LogisticModel(rng.normal(0, 2, n), 0.3, "l2", 0.0)),
-                ModelHandle("gnb", train_gnb(X, y)),
+            for model in (
+                LogisticModel(rng.normal(0, 2, n), 0.3, "l2", 0.0),
+                train_gnb(X, y),
             ):
                 for predict in (predict_logodds, predict_proba):
-                    want = predict(handle, rows)
+                    want = predict(model, rows)
                     for layout in layouts:
                         assert np.array_equal(layout, rows)
-                        assert np.array_equal(predict(handle, layout), want), (n, handle.kind)
+                        assert np.array_equal(predict(model, layout), want), (n, model.kind)
                     # each row alone gives the bits it gets in the batch
                     for i in (0, 150, 299):
-                        assert predict(handle, rows[i:i + 1])[0] == want[i]
+                        assert predict(model, rows[i:i + 1])[0] == want[i]
 
 
 def _logpdf_ratio(model, X):
@@ -392,12 +399,13 @@ class TestGnbQuadraticTerms:
         rng = np.random.default_rng(9)
         X = rng.normal(0, 1, (80, 5))
         y = (rng.random(80) < 0.5).astype(int)
-        handle = ModelHandle("gnb", train_gnb(X, y))
+        model = train_gnb(X, y)
         batch = rng.normal(0, 3, (40, 5))
-        offset, terms = feature_terms(handle, batch)
-        assert np.array_equal(predict_logodds(handle, batch), offset + np.sum(terms, axis=-1))
+        offset, terms = feature_terms(model, batch)
+        assert np.array_equal(predict_logodds(model, batch), offset + np.sum(terms, axis=-1))
         # the coefficients derived for scoring are not part of the model record
-        assert set(handle_to_dict(handle)["model"]) == {
+        spec = data.PreprocessSpec("standardize", np.zeros(5), np.ones(5))
+        assert set(model_to_dict(model, spec)["model"]) == {
             "mean0", "mean1", "var0", "var1", "prior0", "prior1"}
 
 
@@ -414,21 +422,21 @@ class TestSerialization:
             center=np.array([0.1, 0.2, 0.3]),
             scale=np.array([1.0, 2.0, 3.0]),
         )
-        for handle in (
-            ModelHandle("lr", fit_logistic(X, y, "l1", 0.5), preprocess=spec),
-            ModelHandle("gnb", train_gnb(X, y), preprocess=spec),
+        for model in (
+            fit_logistic(X, y, "l1", 0.5),
+            train_gnb(X, y),
             # stopped early: not converged, two objective checkpoints
-            ModelHandle("lr", fit_logistic(X, y, "l2", 0.1, max_iter=3), preprocess=spec),
+            fit_logistic(X, y, "l2", 0.1, max_iter=3),
         ):
-            blob = json.loads(json.dumps(handle_to_dict(handle), sort_keys=True))
-            assert blob["kind"] == handle.kind
+            blob = json.loads(json.dumps(model_to_dict(model, spec), sort_keys=True))
+            assert blob["kind"] == model.kind
             fields = (("weights", "intercept", "penalty", "strength", "iterations",
                        "final_objective", "objective_checkpoints", "converged")
-                      if handle.kind == "lr" else
+                      if model.kind == "lr" else
                       ("mean0", "mean1", "var0", "var1", "prior0", "prior1"))
             assert set(blob["model"]) == set(fields)
             for name in fields:
-                value = getattr(handle.model, name)
+                value = getattr(model, name)
                 if isinstance(value, (np.ndarray, tuple)):
                     value = [float(v) for v in value]
                 assert blob["model"][name] == value, name

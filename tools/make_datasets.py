@@ -56,8 +56,8 @@ def accuracies(name: str) -> tuple[float, float]:
     lr = models_mod.train_logistic(ds.X_train, ds.y_train, search_trials=15, seed=0)
     gnb = models_mod.train_gnb(ds.X_train, ds.y_train)
     return (
-        models_mod.accuracy(models_mod.ModelHandle("lr", lr), ds.X_test, ds.y_test),
-        models_mod.accuracy(models_mod.ModelHandle("gnb", gnb), ds.X_test, ds.y_test),
+        models_mod.accuracy(lr, ds.X_test, ds.y_test),
+        models_mod.accuracy(gnb, ds.X_test, ds.y_test),
     )
 
 
