@@ -37,10 +37,11 @@ from .explainers import (
     explain_lpi,
     explain_shap,
 )
-from .groundtruth import GroundTruth, ground_truth
 from .models import (
     GaussianNBModel,
+    GroundTruth,
     LogisticModel,
+    ground_truth,
     predict_logodds,
     predict_proba,
     train_gnb,

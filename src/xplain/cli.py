@@ -38,7 +38,7 @@ from .explainers import (
     TECHNIQUES,
     explain,
 )
-from .groundtruth import ground_truth
+from .models import ground_truth
 
 PREPROCESS_FLAGS = {
     "standard": "standardize",

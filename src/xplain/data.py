@@ -35,7 +35,8 @@ PREPROCESS_KINDS = ("standardize", "minmax", "interquartile")
 @dataclass(frozen=True)
 class ColumnSpec:
     """One source column: its name and kind. encode_onehot fits a categorical
-    column's vocabulary on the training rows and keeps it in EncodedGroup."""
+    column's vocabulary on the training rows and names each category's
+    encoded column column=category."""
 
     name: str
     kind: str
@@ -143,7 +144,6 @@ class EncodedGroup:
 
     column: str
     indices: tuple[int, ...]
-    categories: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -429,13 +429,7 @@ def encode_onehot(split_table: SplitTable, name: str = "") -> Dataset:
             start = len(feature_names)
             for cat in vocab:
                 feature_names.append(f"{spec.name}={cat}")
-            groups.append(
-                EncodedGroup(
-                    column=spec.name,
-                    indices=tuple(range(start, start + len(vocab))),
-                    categories=vocab,
-                )
-            )
+            groups.append(EncodedGroup(spec.name, tuple(range(start, len(feature_names)))))
 
     unseen = 0
 

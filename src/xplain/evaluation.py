@@ -1,9 +1,9 @@
 """Per-instance rank correlation against ground truth, plus the aggregations.
 
 One score per (instance, technique): Spearman correlation between the
-explanation vector and the instance's analytic attribution vector, which is
-computed once per instance. Scores aggregate to a per-dataset median and,
-across datasets, to per-technique average ranks
+explanation vector and the instance's row of the analytic attributions, which
+are extracted once per (dataset, model) cell. Scores aggregate to a
+per-dataset median and, across datasets, to per-technique average ranks
 (rank 1 = highest median, lower average rank = better). report_set turns an
 evaluated grid into the report files' contents.
 """
@@ -18,8 +18,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DimensionMismatchError, VectorTooShortError
 from .explainers import ExplainerConfig, explain
-from .groundtruth import GroundTruth, ground_truth
-from .models import GaussianNBModel, LogisticModel, Model
+from .models import GaussianNBModel, GroundTruth, LogisticModel, Model, ground_truth
 
 SIGNIFICANT_CORRELATION = 0.7
 
@@ -42,7 +41,8 @@ class CorrelationScore:
 @dataclass(frozen=True)
 class DatasetScoreSet:
     """All per-instance scores for one (dataset, model, technique) cell; the
-    cell's sets share one ground_truths tuple, one entry per test instance."""
+    cell's sets share its one ground_truth, whose lam has a row per test
+    instance."""
 
     dataset_id: str
     technique: str
@@ -54,7 +54,7 @@ class DatasetScoreSet:
     whisker_high: float
     degenerate_count: int
     significant_count: int
-    ground_truths: tuple[GroundTruth, ...] = ()
+    ground_truth: GroundTruth | None = None
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,7 @@ def derive_seed(seed: int, index: int) -> int:
 
 def evaluate_instance(
     X: np.ndarray,
+    lam: np.ndarray,
     model: Model,
     techniques: list[str],
     target_space: str,
@@ -120,28 +121,27 @@ def evaluate_instance(
     config: ExplainerConfig | None = None,
     *,
     seeds: Sequence[int],
-) -> tuple[list[GroundTruth], list[list[CorrelationScore]]]:
+) -> list[list[CorrelationScore]]:
     """A block of k instances X (k, n) with k seeds under one model (a
-    LogisticModel or a GaussianNBModel): the ground truth of each instance,
-    extracted once, and per technique (in order) the Spearman score of each
-    instance's explanation against it. Each technique explains the whole block
-    in one explain() call; evaluate_dataset makes one call per block of
+    LogisticModel or a GaussianNBModel), and their ground-truth rows lam
+    (k, n): per technique (in order), the Spearman score of each instance's
+    explanation against its row. Each technique explains the whole block in
+    one explain() call; evaluate_dataset makes one call per block of
     INSTANCE_BLOCK test instances."""
     if np.ndim(X) != 2:
         raise DimensionMismatchError(f"expected a block of instances (k, n), got {np.shape(X)}")
-    gts = [ground_truth(model, row) for row in X]
     scores = []
     for technique in techniques:
         phi = explain(technique, target_space, model, X, dataset, config, seeds).phi
-        scores.append([spearman(p, gt.lam) for p, gt in zip(phi, gts, strict=True)])
-    return gts, scores
+        scores.append([spearman(p, row) for p, row in zip(phi, lam, strict=True)])
+    return scores
 
 
 def summarize_scores(
     dataset_id: str,
     technique: str,
     scores: list[CorrelationScore],
-    ground_truths: tuple[GroundTruth, ...] = (),
+    ground_truth: GroundTruth | None = None,
 ) -> DatasetScoreSet:
     """Median, quartiles (linear interpolation) and Tukey whiskers of the scores."""
     r = np.array([s.r for s in scores])
@@ -159,7 +159,7 @@ def summarize_scores(
         whisker_high=float(inside.max()),
         degenerate_count=sum(s.degenerate for s in scores),
         significant_count=int(np.sum(r > SIGNIFICANT_CORRELATION)),
-        ground_truths=ground_truths,
+        ground_truth=ground_truth,
     )
 
 
@@ -172,27 +172,27 @@ def evaluate_dataset(
     seed: int = 0,
 ) -> list[DatasetScoreSet]:
     """Evaluates the test split under one model (a LogisticModel or a
-    GaussianNBModel) in blocks of INSTANCE_BLOCK consecutive
-    instances, one evaluate_instance call per block: their ground truths and
-    every technique's scores. Instance k uses the seed derived from (seed, k),
-    so results do not depend on the block size. Returns one score set per
-    technique, in the order given."""
+    GaussianNBModel): the ground truth of the whole split, extracted in one
+    call, then every technique's scores in blocks of INSTANCE_BLOCK
+    consecutive instances, one evaluate_instance call per block. Instance k
+    uses the seed derived from (seed, k), so results do not depend on the
+    block size. Returns one score set per technique, in the order given,
+    each carrying that ground truth."""
     m = dataset.X_test.shape[0]
     if m == 0:
         raise ValueError(f"dataset {dataset.name!r} has an empty test split")
-    ground_truths: list[GroundTruth] = []
+    truth = ground_truth(model, dataset.X_test)
     scores: list[list[CorrelationScore]] = [[] for _ in techniques]
     for start in range(0, m, INSTANCE_BLOCK):
-        ks = range(start, min(start + INSTANCE_BLOCK, m))
-        gts, block_scores = evaluate_instance(
-            dataset.X_test[ks.start : ks.stop], model, techniques, target_space,
-            dataset, config, seeds=[derive_seed(seed, k) for k in ks],
+        stop = min(start + INSTANCE_BLOCK, m)
+        block_scores = evaluate_instance(
+            dataset.X_test[start:stop], truth.lam[start:stop], model, techniques,
+            target_space, dataset, config,
+            seeds=[derive_seed(seed, k) for k in range(start, stop)],
         )
-        ground_truths += gts
         for collected, block in zip(scores, block_scores):
             collected += block
-    frozen = tuple(ground_truths)
-    return [summarize_scores(dataset.name, t, s, frozen) for t, s in zip(techniques, scores)]
+    return [summarize_scores(dataset.name, t, s, truth) for t, s in zip(techniques, scores)]
 
 
 def rank_techniques(score_sets: list[DatasetScoreSet]) -> RankTable:
@@ -266,6 +266,7 @@ def report_set(
     reports = {}
     for dataset, kind, sets in cells:
         name = dataset.name
+        truth = sets[0].ground_truth
         reports[f"{name}__{kind}.report.json"] = {
             **run,
             "dataset": name,
@@ -276,10 +277,10 @@ def report_set(
             "ranks": tables[kind].per_dataset[name],
             "average_ranks": tables[kind].average,
             "ground_truth": [
-                {"instance": k, "offset": gt.offset,
+                {"instance": k, "offset": truth.offset,
                  "values": [{"feature": f, "value": float(v)}
-                            for f, v in zip(dataset.feature_names, gt.lam)]}
-                for k, gt in enumerate(sets[0].ground_truths)
+                            for f, v in zip(dataset.feature_names, row)]}
+                for k, row in enumerate(truth.lam)
             ],
         }
     rank_table = {**run, "models": {

@@ -2,8 +2,9 @@
 
 Each family has one formula: feature_terms() splits the class-1 log-odds into
 a featureless offset plus one term per feature (w_j * x_j for LR, the
-per-feature Gaussian log density ratio for GNB). predict_logodds sums those
-terms and predict_proba is the clipped sigmoid of that sum, so the additive
+per-feature Gaussian log density ratio for GNB). Those terms are the ground
+truth (ground_truth(), one instance or a block); predict_logodds sums them
+and predict_proba is the clipped sigmoid of that sum, so the additive
 ground-truth decomposition is exact by construction.
 
 GNB's log density ratio log N(x_j | 1) - log N(x_j | 0) is a quadratic in x_j,
@@ -277,6 +278,30 @@ def feature_terms(model: Model, x) -> tuple[float, np.ndarray]:
     terms += const
     offset = float(np.log(model.prior1) - np.log(model.prior0))
     return offset, terms
+
+
+@dataclass(frozen=True)
+class GroundTruth:
+    """Class-1 feature attributions lam, with the shape of the instance or
+    block they were extracted from, plus the featureless offset, which has
+    no feature rank and never enters the correlations."""
+
+    lam: np.ndarray
+    offset: float
+
+    def total(self) -> float | np.ndarray:
+        """offset plus each row's sum of lam: predict_logodds, bit for bit.
+        Rows are summed row-major, as _row_sum sums them, whatever lam's
+        memory layout."""
+        total = self.offset + np.sum(np.ascontiguousarray(self.lam), axis=-1)
+        return float(total) if self.lam.ndim == 1 else total
+
+
+def ground_truth(model: Model, x) -> GroundTruth:
+    """Ground truth for one instance (n,) or a block (k, n): the model's own
+    feature_terms, which predict_logodds sums."""
+    offset, lam = feature_terms(model, x)
+    return GroundTruth(lam=lam, offset=offset)
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 from xplain import data
 from xplain.evaluation import evaluate_dataset, rank_techniques, spearman
 from xplain.explainers import ExplainerConfig, explain_lpi, explain_shap
-from xplain.groundtruth import ground_truth
+from xplain.models import ground_truth
 from xplain.models import (
     GaussianNBModel,
     LogisticModel,

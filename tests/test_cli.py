@@ -681,6 +681,8 @@ def test_benchmark_tracer_installs(tmp_path):
     assert {"evaluation.evaluate_instance", "evaluation.evaluate_dataset",
             "evaluation.spearman", "groundtruth.ground_truth",
             "models.predict_logodds"} <= {s[name] for s in spans}
+    # the ground truth is extracted once per (dataset, model) cell
+    assert sum(s[name] == "groundtruth.ground_truth" for s in spans) == 2
     # the tracer reads each family's name off the model it is given
     for traced in ("explainers.explain", "models.predict_logodds"):
         assert {s[attrs]["model"] for s in spans if s[name] == traced} == {"lr", "gnb"}

@@ -35,7 +35,9 @@ def encoded_categories(table):
     encoded as a training row."""
     parts = data.SplitTable(columns=table.columns, train_rows=table.rows, test_rows=[],
                             y_train=table.labels, y_test=table.labels[:0])
-    return data.encode_onehot(parts).groups[0].categories
+    ds = data.encode_onehot(parts)
+    group = ds.groups[0]
+    return tuple(ds.feature_names[j][len(group.column) + 1 :] for j in group.indices)
 
 
 class TestLoadCsv:
@@ -252,7 +254,7 @@ def layout_kwargs(**overrides):
 
 
 def group(*indices):
-    return data.EncodedGroup("g", indices, tuple(str(j) for j in indices))
+    return data.EncodedGroup("g", indices)
 
 
 class TestLayout:

@@ -21,7 +21,7 @@ from xplain.evaluation import (
     summarize_scores,
 )
 from xplain.explainers import ExplainerConfig, LimeConfig, LpiConfig, ShapConfig
-from xplain.groundtruth import ground_truth
+from xplain.models import ground_truth
 from xplain.models import predict_proba, train_gnb, train_logistic
 
 from conftest import DATASETS_DIR, linear_model, numeric_dataset, wide_mixed_dataset
@@ -114,22 +114,27 @@ class TestEvaluateInstance:
         X = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
         ds = numeric_dataset(X)
         model = linear_model([1.4, -0.6, 2.2, 0.9, -1.8, 0.3])
-        _, ((score,),) = evaluate_instance(ds.X_test[1:2], model, ["lpi"], "logodds", ds,
-                                           seeds=[7])
+        X = ds.X_test[1:2]
+        ((score,),) = evaluate_instance(X, ground_truth(model, X).lam, model, ["lpi"],
+                                        "logodds", ds, seeds=[7])
         assert score.r == 1.0
 
     def test_single_feature_too_short(self):
         ds = numeric_dataset(np.linspace(0, 1, 30).reshape(-1, 1))
         model = linear_model([2.0])
+        X = ds.X_test[:1]
         with pytest.raises(VectorTooShortError):
-            evaluate_instance(ds.X_test[:1], model, ["lpi"], "logodds", ds, seeds=[0])
+            evaluate_instance(X, ground_truth(model, X).lam, model, ["lpi"], "logodds", ds,
+                              seeds=[0])
 
     def test_one_instance_rejected(self):
         """Only a block (k, n) is accepted; one instance is a block of one."""
         ds = numeric_dataset(np.random.default_rng(5).normal(0, 1, (40, 3)))
         model = linear_model([1.0, -0.5, 2.0])
+        x = ds.X_test[0]
         with pytest.raises(DimensionMismatchError):
-            evaluate_instance(ds.X_test[0], model, ["lpi"], "logodds", ds, seeds=[0])
+            evaluate_instance(x, ground_truth(model, x).lam, model, ["lpi"], "logodds", ds,
+                              seeds=[0])
 
 
 class TestSummarize:
@@ -191,7 +196,9 @@ class TestEvaluateDataset:
         assert len(s.scores) == 12
         assert s.median == np.median([x.r for x in s.scores])
 
-    def test_ground_truth_once_per_instance(self, monkeypatch):
+    def test_ground_truth_once_per_cell(self, monkeypatch):
+        """One extraction on the whole test split, however many blocks (three
+        of at most 5 here) score against it."""
         ds, model, cfg = self.make()
         calls = []
 
@@ -200,19 +207,21 @@ class TestEvaluateDataset:
             return ground_truth(model, x)
 
         monkeypatch.setattr(evaluation, "ground_truth", spy)
+        monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", 5)
         sets = evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3)
-        assert len(calls) == 12
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], ds.X_test)
         assert [s.technique for s in sets] == ["lime", "lpi"]
-        assert sets[0].ground_truths is sets[1].ground_truths
+        assert sets[0].ground_truth is sets[1].ground_truth
 
     def test_ground_truths_match_direct_extraction(self):
         ds, model, cfg = self.make()
         for s in evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3):
-            assert len(s.ground_truths) == 12
-            for k, gt in enumerate(s.ground_truths):
+            assert s.ground_truth.lam.shape == (12, 4)
+            for k, row in enumerate(s.ground_truth.lam):
                 expected = ground_truth(model, ds.X_test[k])
-                assert np.array_equal(gt.lam, expected.lam)
-                assert gt.offset == expected.offset
+                assert np.array_equal(row, expected.lam)
+                assert s.ground_truth.offset == expected.offset
 
     @pytest.mark.parametrize("block", [1, 5, 64])
     def test_blocks_match_single_instances(self, block, monkeypatch):
@@ -224,10 +233,12 @@ class TestEvaluateDataset:
         techniques = ["lime", "shap", "lpi"]
         sets = evaluate_dataset(ds, model, techniques, "probability", cfg, seed=3)
         for k in range(12):
-            (gt,), scores = evaluate_instance(ds.X_test[k : k + 1], model, techniques,
-                                              "probability", ds, cfg,
-                                              seeds=[derive_seed(3, k)])
-            assert np.array_equal(sets[0].ground_truths[k].lam, gt.lam)
+            x = ds.X_test[k : k + 1]
+            gt = ground_truth(model, x)
+            scores = evaluate_instance(x, gt.lam, model, techniques, "probability", ds, cfg,
+                                       seeds=[derive_seed(3, k)])
+            assert np.array_equal(sets[0].ground_truth.lam[k], gt.lam[0])
+            assert sets[0].ground_truth.offset == gt.offset
             assert [s.scores[k] for s in sets] == [score for (score,) in scores]
 
     def test_model_calls_packed(self, monkeypatch):
@@ -275,8 +286,9 @@ class TestEvaluateDataset:
             small, large = runs
             for s1, s2 in zip(small, large, strict=True):
                 assert np.array_equal([x.r for x in s1.scores], [x.r for x in s2.scores])
-            for g1, g2 in zip(small[0].ground_truths, large[0].ground_truths, strict=True):
-                assert np.array_equal(g1.lam, g2.lam) and g1.offset == g2.offset
+            g1, g2 = small[0].ground_truth, large[0].ground_truth
+            assert g1.lam.shape == ds.X_test.shape
+            assert np.array_equal(g1.lam, g2.lam) and g1.offset == g2.offset
 
     def test_empty_test_split_rejected(self):
         ds, model, cfg = self.make()

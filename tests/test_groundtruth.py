@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from xplain.errors import DimensionMismatchError
-from xplain.groundtruth import ground_truth
+from xplain.models import ground_truth
 from xplain.models import (
     GaussianNBModel,
     LogisticModel,

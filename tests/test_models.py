@@ -14,6 +14,7 @@ from xplain.models import (
     accuracy,
     feature_terms,
     fit_logistic,
+    ground_truth,
     model_to_dict,
     predict_logodds,
     predict_proba,
@@ -23,7 +24,7 @@ from xplain.models import (
     train_logistic,
 )
 
-from conftest import BUNDLED, DATASETS_DIR
+from conftest import BUNDLED, DATASETS_DIR, wide_mixed_dataset
 
 
 def separable_data(m=200, seed=0):
@@ -407,6 +408,54 @@ class TestGnbQuadraticTerms:
         spec = data.PreprocessSpec("standardize", np.zeros(5), np.ones(5))
         assert set(model_to_dict(model, spec)["model"]) == {
             "mean0", "mean1", "var0", "var1", "prior0", "prior1"}
+
+
+def cell_models(name, tmp_path):
+    """A bundled dataset, standardized, or the wide-mixed table, with an LR
+    and a GNB fitted on its training split."""
+    if name == "wide_mixed":
+        ds = wide_mixed_dataset(tmp_path)
+    else:
+        config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
+        ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
+    return ds, (fit_logistic(ds.X_train, ds.y_train, "l2", 1.0),
+                train_gnb(ds.X_train, ds.y_train))
+
+
+class TestGroundTruthBlock:
+    @pytest.mark.parametrize("name", [*BUNDLED, "wide_mixed"])
+    def test_block_equals_stacked_rows(self, name, tmp_path):
+        """One call on a whole test split gives each instance's own ground
+        truth, bit for bit."""
+        ds, models = cell_models(name, tmp_path)
+        for model in models:
+            block = ground_truth(model, ds.X_test)
+            rows = [ground_truth(model, x) for x in ds.X_test]
+            assert np.array_equal(block.lam, np.stack([gt.lam for gt in rows]))
+            assert all(gt.offset == block.offset for gt in rows)
+
+    @pytest.mark.parametrize("name", [*BUNDLED, "wide_mixed"])
+    def test_block_total_is_logodds(self, name, tmp_path):
+        """Criterion 1's identity on a block: total() is predict_logodds, bit
+        for bit."""
+        ds, models = cell_models(name, tmp_path)
+        for model in models:
+            total = ground_truth(model, ds.X_test).total()
+            assert np.array_equal(total, predict_logodds(model, ds.X_test))
+
+    @pytest.mark.parametrize("n", [3, 8, 13, 130])
+    def test_total_is_logodds_at_every_row_sum_width(self, n):
+        """Widths that take each of _row_sum's paths, on blocks of either
+        memory layout; one instance gives a float, a block one value per row."""
+        rng = np.random.default_rng(n)
+        X = rng.normal(0, 2, (60, n))
+        for model in (LogisticModel(rng.normal(0, 2, n), 0.3, "l2", 0.0),
+                      train_gnb(X, np.arange(60) % 2)):
+            assert ground_truth(model, X[0]).total() == predict_logodds(model, X[0])
+            for block in (X, np.asfortranarray(X)):
+                total = ground_truth(model, block).total()
+                assert total.shape == (60,)
+                assert np.array_equal(total, predict_logodds(model, X))
 
 
 class TestSerialization:
