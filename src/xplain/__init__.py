@@ -29,14 +29,7 @@ from .evaluation import (
     report_set,
     spearman,
 )
-from .explainers import (
-    ExplainerConfig,
-    Explanation,
-    explain,
-    explain_lime,
-    explain_lpi,
-    explain_shap,
-)
+from .explainers import ExplainerConfig, Explanation, explain
 from .models import (
     GaussianNBModel,
     GroundTruth,

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import data as data_mod
@@ -30,14 +31,7 @@ from .evaluation import (
     report_set,
     spearman,
 )
-from .explainers import (
-    ExplainerConfig,
-    LimeConfig,
-    LpiConfig,
-    ShapConfig,
-    TECHNIQUES,
-    explain,
-)
+from .explainers import TECHNIQUES, ExplainerConfig, explain
 from .models import ground_truth
 
 PREPROCESS_FLAGS = {
@@ -48,11 +42,8 @@ PREPROCESS_FLAGS = {
 
 
 def _explainer_config(args) -> ExplainerConfig:
-    return ExplainerConfig(
-        lime=LimeConfig(samples=args.lime_samples),
-        shap=ShapConfig(samples=args.shap_samples, background_size=args.shap_background),
-        lpi=LpiConfig(samples=args.lpi_samples, absolute=args.lpi_absolute),
-    )
+    """The config of the explainer flags, each named after its field."""
+    return ExplainerConfig(**{f.name: getattr(args, f.name) for f in fields(ExplainerConfig)})
 
 
 def _add_training_flags(p: argparse.ArgumentParser):
@@ -64,11 +55,12 @@ def _add_training_flags(p: argparse.ArgumentParser):
 
 def _add_explainer_flags(p: argparse.ArgumentParser):
     p.add_argument("--target", choices=["logodds", "probability"], default="logodds")
-    p.add_argument("--lime-samples", type=int, default=5000)
-    p.add_argument("--shap-samples", type=int, default=5000)
-    p.add_argument("--shap-background", type=int, default=100)
-    p.add_argument("--lpi-samples", type=int, default=None)
-    p.add_argument("--lpi-absolute", action="store_true",
+    defaults = ExplainerConfig()
+    p.add_argument("--lime-samples", type=int, default=defaults.lime_samples)
+    p.add_argument("--shap-samples", type=int, default=defaults.shap_samples)
+    p.add_argument("--shap-background", type=int, default=defaults.shap_background)
+    p.add_argument("--lpi-samples", type=int, default=defaults.lpi_samples)
+    p.add_argument("--lpi-absolute", action="store_true", default=defaults.lpi_absolute,
                    help="rank absolute instead of signed score differences")
 
 
@@ -267,21 +259,21 @@ def cmd_explain(args) -> int:
     model = _train(args.model, dataset, args)
     x = dataset.X_test[args.index]
     gt = ground_truth(model, x)
-    if args.technique == "groundtruth":
-        phi = gt.lam
-        base_value = None
-    else:
-        try:
+    try:
+        if args.technique == "groundtruth":
+            phi = gt.lam
+            base_value = None
+        else:
             explanation = explain(
                 args.technique, args.target, model, x, dataset,
                 _explainer_config(args), seed=derive_seed(args.seed, args.index),
             )
-        except (MemoryError, ValueError) as exc:  # e.g. a sample count no array can hold
-            raise XplainError(f"dataset {dataset.name!r} failed at stage "
-                              f"explain[{args.technique}]: {exc}") from None
-        phi = explanation.phi
-        base_value = explanation.base_value
-    score = spearman(phi, gt.lam)
+            phi = explanation.phi
+            base_value = explanation.base_value
+        score = spearman(phi, gt.lam)
+    except (MemoryError, ValueError) as exc:  # e.g. a sample count no array can hold
+        raise XplainError(f"dataset {dataset.name!r} failed at stage "
+                          f"explain[{args.technique}]: {exc}") from None
     payload = {
         "instance_index": args.index,
         "dataset": dataset.name,

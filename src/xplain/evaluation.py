@@ -86,7 +86,8 @@ def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore:
     """Spearman rank correlation with fractional ranks for ties.
 
     A rank-constant vector on either side yields r = 0 with the degenerate
-    flag set instead of a division by zero.
+    flag set instead of a division by zero. A NaN or infinity on either side
+    raises ValueError: NaNs have no rank order.
     """
     phi = np.asarray(phi, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -94,6 +95,8 @@ def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore:
         raise DimensionMismatchError(f"length mismatch: {phi.shape} vs {lam.shape}")
     if phi.ndim != 1 or len(phi) < 2:
         raise VectorTooShortError(f"need vectors of length >= 2, got {phi.shape}")
+    if not (np.isfinite(phi).all() and np.isfinite(lam).all()):
+        raise ValueError("spearman input contains non-finite values")
     ra = fractional_ranks(phi)
     rb = fractional_ranks(lam)
     da = ra - ra.mean()

@@ -1,15 +1,17 @@
 """Local additive explanation techniques: LIME, KernelSHAP and LPI.
 
-All three share one entry point, explain(), which targets either the model's
-log-odds or its class-1 probability. Like predict_logodds, every explainer
-takes the model itself (a LogisticModel or a GaussianNBModel) and one
-instance x of shape (n,) with an int seed, or a block X of shape (k, n) with
-k seeds. Each instance's randomness derives solely from its own seed, so
-results are reproducible and schedule-independent, and explaining a block
-gives exactly the stacked single-instance explanations. One-hot groups
-are always perturbed atomically (per-column bit flips would produce
-impossible encodings). Rows for the model are built column-major, so the
-scorer works on m rows per numpy operation; solves stay row-major.
+explain() is the one entry point. It targets either the model's log-odds or
+its class-1 probability and, like predict_logodds, takes the model itself (a
+LogisticModel or a GaussianNBModel) and one instance x of shape (n,) with an
+int seed, or a block X of shape (k, n) with k seeds. It checks its
+arguments, fills in the default ExplainerConfig and hands a block to the
+technique's private function, (f, X, seeds, dataset, config) -> (phi,
+sample_count, base_value). Each instance's randomness derives solely from
+its own seed, so results are reproducible and schedule-independent, and
+explaining a block gives exactly the stacked single-instance explanations.
+One-hot groups are always perturbed atomically (per-column bit flips would
+produce impossible encodings). Rows for the model are built column-major, so
+the scorer works on m rows per numpy operation; solves stay row-major.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,42 +53,23 @@ _RNG_TAG = {LIME: 1, SHAP: 2, LPI: 3}
 
 
 @dataclass(frozen=True)
-class LimeConfig:
-    samples: int = 5000
-    kernel_width: float | None = None  # None -> 0.75 * sqrt(n)
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidConfigError("lime samples must be >= 1")
-        if self.kernel_width is not None and self.kernel_width <= 0:
-            raise InvalidConfigError("kernel_width must be positive")
-
-
-@dataclass(frozen=True)
-class ShapConfig:
-    samples: int = 5000
-    background_size: int = 100
-
-    def __post_init__(self):
-        if self.samples < 1 or self.background_size < 1:
-            raise InvalidConfigError("shap samples and background_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class LpiConfig:
-    samples: int | None = None  # None -> training-set size
-    absolute: bool = False
-
-    def __post_init__(self):
-        if self.samples is not None and self.samples < 1:
-            raise InvalidConfigError("lpi samples must be >= 1")
-
-
-@dataclass(frozen=True)
 class ExplainerConfig:
-    lime: LimeConfig = field(default_factory=LimeConfig)
-    shap: ShapConfig = field(default_factory=ShapConfig)
-    lpi: LpiConfig = field(default_factory=LpiConfig)
+    """One field per explainer flag of the CLI (--lime-samples and so on),
+    which takes its defaults from here."""
+
+    lime_samples: int = 5000
+    shap_samples: int = 5000
+    shap_background: int = 100
+    lpi_samples: int | None = None  # None -> training-set size
+    lpi_absolute: bool = False
+
+    def __post_init__(self):
+        if self.lime_samples < 1:
+            raise InvalidConfigError("lime samples must be >= 1")
+        if self.shap_samples < 1 or self.shap_background < 1:
+            raise InvalidConfigError("shap samples and background_size must be >= 1")
+        if self.lpi_samples is not None and self.lpi_samples < 1:
+            raise InvalidConfigError("lpi samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -95,7 +78,7 @@ class Explanation:
     phi is (n,) for one instance and (k, n) for a block of k.
 
     sample_count is per explanation: LIME's perturbation count, LPI's
-    replacement rows per slot, or the coalition count explain_shap documents.
+    replacement rows per slot, or the coalition count _shap documents.
     base_value is KernelSHAP's background mean prediction (a float, or one per
     instance of a block, shape (k,)) and None for LIME and LPI.
     """
@@ -105,33 +88,24 @@ class Explanation:
     base_value: float | np.ndarray | None = None
 
 
-def _target_fn(model: Model, target_space: str):
-    if target_space == LOGODDS:
-        return lambda X: predict_logodds(model, X)
-    if target_space == PROBABILITY:
-        return lambda X: predict_proba(model, X)
-    raise ValueError(f"unknown target space {target_space!r}")
-
-
-def _as_block(x, seed) -> tuple[np.ndarray, list]:
+def _as_block(x, seed, n: int) -> tuple[np.ndarray, list]:
     """(X, seeds): one instance (n,) with an int seed as a block of one, or a
-    non-empty block (k, n) with its k seeds."""
+    non-empty block (k, n) with its k seeds; n is the dataset's width."""
     X = np.asarray(x, dtype=float)
     if X.ndim == 1 and np.ndim(seed) == 0:
-        return X[None, :], [seed]
-    if X.ndim == 2 and np.ndim(seed) == 1 and len(seed) == len(X) > 0:
-        return X, list(seed)
-    raise DimensionMismatchError(
-        f"expected one instance (n,) with an int seed or a block (k, n) with k >= 1 "
-        f"seeds, got shape {X.shape} with {np.size(seed)} seed(s)"
-    )
-
-
-def _shaped_like(x, phi: np.ndarray, sample_count: int, base=None) -> Explanation:
-    """The Explanation of a block, or of its one row when x was one instance."""
-    if np.ndim(x) == 1:
-        return Explanation(phi[0], sample_count, None if base is None else float(base[0]))
-    return Explanation(phi, sample_count, base)
+        X, seeds = X[None, :], [seed]
+    elif X.ndim == 2 and np.ndim(seed) == 1 and len(seed) == len(X) > 0:
+        seeds = list(seed)
+    else:
+        raise DimensionMismatchError(
+            f"expected one instance (n,) with an int seed or a block (k, n) with k >= 1 "
+            f"seeds, got shape {X.shape} with {np.size(seed)} seed(s)"
+        )
+    if X.shape[1] != n:
+        raise DimensionMismatchError(
+            f"x has {X.shape[1]} feature(s) per instance, the dataset has {n}"
+        )
+    return X, seeds
 
 
 def _score_packed(f, pieces):
@@ -182,31 +156,24 @@ def _score_call(f, batch: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(f(buffer), ends[:-1])
 
 
-def explain_lime(
-    model: Model,
-    x: np.ndarray,
-    dataset: Dataset,
-    config: ExplainerConfig | None = None,
-    seed: int | Sequence[int] = 0,
-    target_space: str = LOGODDS,
-) -> Explanation:
+def _lime(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfig):
     """Local ridge surrogate fitted to kernel-weighted perturbations.
 
     Numeric coordinates are resampled from Normal(x_j, train std);
     one-hot groups are resampled whole from the training category frequencies.
-    Perturbations are weighted by exp(-d^2 / kernel_width^2) where d is the
-    Euclidean distance over train-std-scaled numeric coordinates plus a
-    mismatch indicator per categorical group. No discretization is applied,
-    and all n coefficients are returned. Each instance of a block has its own
-    perturbations, model call and ridge solve.
+    Perturbations are weighted by exp(-d^2 / w^2) with kernel width
+    w = 0.75 * sqrt(n), where d is the Euclidean distance over
+    train-std-scaled numeric coordinates plus a mismatch indicator per
+    categorical group. No discretization is applied, and all n coefficients
+    are returned. Each instance of a block has its own perturbations, model
+    call and ridge solve.
     """
-    cfg = (config or ExplainerConfig()).lime
-    X, seeds = _as_block(x, seed)
     n = dataset.n_features
-    S = cfg.samples
-    kernel_width = cfg.kernel_width if cfg.kernel_width is not None else 0.75 * math.sqrt(n)
+    if dataset.X_train.shape[0] == 0:
+        raise ValueError("training split has no rows")
+    S = config.lime_samples
+    width = 0.75 * math.sqrt(n)
     draws = _lime_draws(dataset)
-    f = _target_fn(model, target_space)
     phi = np.empty((len(X), n))
     for i, (row, row_seed) in enumerate(zip(X, seeds)):
         rng = np.random.default_rng([_RNG_TAG[LIME], row_seed])
@@ -230,11 +197,11 @@ def explain_lime(
         d2 = dist.sum(axis=0)  # slot after slot
 
         with np.errstate(divide="ignore"):
-            weights = np.exp(-d2 / kernel_width**2)
+            weights = np.exp(-d2 / width**2)
         if np.max(weights) < 1e-30:
             raise DegenerateWeightsError("all perturbation weights are numerically zero")
         phi[i] = _weighted_ridge(Z, weights, f(Z))
-    return _shaped_like(x, phi, S)
+    return phi, S, None
 
 
 def _lime_draws(dataset: Dataset) -> list[tuple]:
@@ -395,14 +362,7 @@ def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
     return draws[first[order]], counts[order].astype(float)
 
 
-def explain_shap(
-    model: Model,
-    x: np.ndarray,
-    dataset: Dataset,
-    config: ExplainerConfig | None = None,
-    seed: int | Sequence[int] = 0,
-    target_space: str = LOGODDS,
-) -> Explanation:
+def _shap(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfig):
     """KernelSHAP against a seeded background sample of training rows.
 
     Coalition values marginalize off-coalition features with background rows.
@@ -417,15 +377,13 @@ def explain_shap(
     has its own background sample, coalitions and solve; only the model
     calls are shared.
     """
-    cfg = (config or ExplainerConfig()).shap
-    X, seeds = _as_block(x, seed)
     n = dataset.n_features
     if n < 1:
         raise ValueError("model must have at least one feature")
     m = dataset.X_train.shape[0]
     if m == 0:
         raise ValueError("empty background: training split has no rows")
-    B = min(m, cfg.background_size)
+    B = min(m, config.shap_background)
     exact = n <= EXACT_SHAP_LIMIT
     # (masks, weights) per instance, queued by rows() before its rows are scored
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
@@ -441,13 +399,13 @@ def explain_shap(
             if exact:
                 masks, weights = _exact_coalitions(n)
             else:
-                masks, weights = _sample_coalitions(n, cfg.samples, rng)
+                masks, weights = _sample_coalitions(n, config.shap_samples, rng)
             pending.append((masks, weights))
             yield background
             yield x[None, :]
             yield from _coalition_rows(masks, x, background)
 
-    scores = _score_packed(_target_fn(model, target_space), rows())
+    scores = _score_packed(f, rows())
     phi = np.empty((len(X), n))
     base = np.empty(len(X))
     for i in range(len(X)):
@@ -460,17 +418,10 @@ def explain_shap(
         del values, design  # freed before the next instance's rows are drawn
     # every instance makes the same number of draws
     sample_count = 2**n if exact else 2 + int(weights.sum())
-    return _shaped_like(x, phi, sample_count, base)
+    return phi, sample_count, base
 
 
-def explain_lpi(
-    model: Model,
-    x: np.ndarray,
-    dataset: Dataset,
-    config: ExplainerConfig | None = None,
-    seed: int | Sequence[int] = 0,
-    target_space: str = LOGODDS,
-) -> Explanation:
+def _lpi(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfig):
     """Local permutation importance in the chosen target space.
 
     For each slot (a numeric column or a whole one-hot group), replacement
@@ -479,13 +430,11 @@ def explain_lpi(
     replaced)]; every column of a group shares the group's score. The
     absolute flag switches to mean |f(x) - f(...)|.
     """
-    cfg = (config or ExplainerConfig()).lpi
-    X, seeds = _as_block(x, seed)
     n = dataset.n_features
     m = dataset.X_train.shape[0]
     if m == 0:
         raise ValueError("training split has no rows")
-    S = cfg.samples if cfg.samples is not None else m
+    S = config.lpi_samples if config.lpi_samples is not None else m
 
     def rows():
         for x, seed in zip(X, seeds):
@@ -502,22 +451,22 @@ def explain_lpi(
 
     train_T = np.ascontiguousarray(dataset.X_train.T)
     slots = dataset.slots
-    scores = _score_packed(_target_fn(model, target_space), rows())
+    scores = _score_packed(f, rows())
     phi = np.zeros((len(X), n))
     diffs = np.empty((len(slots), S))
     for i in range(len(X)):
         fx = float(next(scores)[0])
         for row in diffs:
             np.subtract(fx, next(scores), out=row)
-        if cfg.absolute:
+        if config.lpi_absolute:
             np.abs(diffs, out=diffs)
         # each row's mean sums S contiguous values, as np.mean of one slot's would
         for (cols, _), value in zip(slots, diffs.mean(axis=1)):
             phi[i, cols] = value
-    return _shaped_like(x, phi, S)
+    return phi, S, None
 
 
-_DISPATCH = {LIME: explain_lime, SHAP: explain_shap, LPI: explain_lpi}
+_TECHNIQUE_FNS = {LIME: _lime, SHAP: _shap, LPI: _lpi}
 
 
 def explain(
@@ -529,14 +478,16 @@ def explain(
     config: ExplainerConfig | None = None,
     seed: int | Sequence[int] = 0,
 ) -> Explanation:
-    """Dispatch to the requested technique with f = log-odds or probability of
-    model, a LogisticModel or a GaussianNBModel (anything else raises
-    TypeError at the first model call).
+    """The explanation of x by technique (lime, shap or lpi) with f = the
+    log-odds or the class-1 probability of model, a LogisticModel or a
+    GaussianNBModel (anything else raises TypeError at the first model call).
+    config None means ExplainerConfig().
 
     x is one instance (n,) with an int seed, or a block (k, n) with one seed
-    per instance; a block's explanation has phi (k, n) and, for SHAP,
+    per instance, and n must be dataset.n_features (DimensionMismatchError
+    otherwise); a block's explanation has phi (k, n) and, for SHAP,
     base_value (k,), each row equal to that instance's own explanation."""
-    if technique not in _DISPATCH:
+    if technique not in _TECHNIQUE_FNS:
         raise UnknownTechniqueError(
             f"unknown technique {technique!r}; expected one of {TECHNIQUES}"
         )
@@ -544,6 +495,15 @@ def explain(
         raise ValueError(
             f"unknown target space {target_space!r}; expected one of {TARGET_SPACES}"
         )
-    return _DISPATCH[technique](
-        model, x, dataset, config=config, seed=seed, target_space=target_space
+    def f(Z):  # looks the scorer up on each call
+        if target_space == LOGODDS:
+            return predict_logodds(model, Z)
+        return predict_proba(model, Z)
+
+    X, seeds = _as_block(x, seed, dataset.n_features)
+    phi, sample_count, base = _TECHNIQUE_FNS[technique](
+        f, X, seeds, dataset, config or ExplainerConfig()
     )
+    if np.ndim(x) == 1:
+        return Explanation(phi[0], sample_count, None if base is None else float(base[0]))
+    return Explanation(phi, sample_count, base)

@@ -16,7 +16,7 @@ import pytest
 
 from xplain import data
 from xplain.evaluation import evaluate_dataset, rank_techniques, spearman
-from xplain.explainers import ExplainerConfig, explain_lpi, explain_shap
+from xplain.explainers import ExplainerConfig, explain
 from xplain.models import ground_truth
 from xplain.models import (
     GaussianNBModel,
@@ -122,7 +122,7 @@ def test_criterion_2_exact_shapley_equivalence():
             w = rng.normal(0, 1.5, n)
             model = linear_model(w, float(rng.normal()))
             x = rng.normal(0, 1, n)
-            e = explain_shap(model, x, ds, seed=int(rng.integers(1 << 30)))
+            e = explain("shap", "logodds", model, x, ds, seed=int(rng.integers(1 << 30)))
             f = lambda Z: np.atleast_1d(predict_logodds(model, Z))
             oracle = _permutation_shapley(f, x, ds.X_train, n)
             closed = w * (x - ds.X_train.mean(axis=0))
@@ -144,7 +144,7 @@ def test_criterion_3_lpi_closed_form():
         w = rng.normal(0, 2, n)
         model = linear_model(w, float(rng.normal()))
         x = rng.normal(0, 2, n)
-        e = explain_lpi(model, x, ds, seed=int(rng.integers(1 << 30)))
+        e = explain("lpi", "logodds", model, x, ds, seed=int(rng.integers(1 << 30)))
         closed = w * (x - ds.X_train.mean(axis=0))
         worst = max(worst, float(np.max(np.abs(e.phi - closed))))
     report(3, "LPI linear closed form over 100 fuzz cases (1e-9)",

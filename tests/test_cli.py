@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from xplain import cli
+from xplain.explainers import ExplainerConfig, Explanation
 
 from conftest import DATASETS_DIR, SRC_DIR, wide_mixed_config, write_csv
 
@@ -700,6 +702,19 @@ def run_explain(extra):
     return cli.main(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--dataset", "d.json"],
+    ["explain", "--dataset", "d.json", "--model", "lr", "--technique", "lime", "--index", "0"],
+])
+def test_explainer_flag_defaults_are_the_config_defaults(argv):
+    """Each explainer flag is named after an ExplainerConfig field and takes
+    its default from it."""
+    args = cli.build_parser().parse_args(argv)
+    defaults = dataclasses.asdict(ExplainerConfig())
+    assert {name: getattr(args, name) for name in defaults} == defaults
+    assert cli._explainer_config(args) == ExplainerConfig()
+
+
 class TestExplain:
     @pytest.mark.parametrize("technique", ["lime", "shap", "lpi"])
     def test_reproduces_evaluate_scores(self, technique, evaluate_run, capsys):
@@ -775,6 +790,19 @@ class TestExplain:
         assert len(err) == 1 and captured.out == "", captured
         assert err[0].startswith(
             f"error: dataset 'iris_binary' failed at stage explain[{technique}]: "), err
+
+    def test_non_finite_explanation_one_line_error(self, capsys, monkeypatch):
+        """A phi Spearman cannot rank is a one-line diagnostic, not a traceback."""
+        def nan_explain(*args, **kwargs):
+            return Explanation(np.full(4, np.nan), 1)
+
+        monkeypatch.setattr(cli, "explain", nan_explain)
+        assert run_explain(["--technique", "lpi"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and captured.out == "", captured
+        assert err[0] == ("error: dataset 'iris_binary' failed at stage explain[lpi]: "
+                          "spearman input contains non-finite values"), err
 
     def test_lpi_absolute_flag(self, capsys):
         assert run_explain(["--technique", "lpi", "--lpi-absolute"]) == 0

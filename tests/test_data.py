@@ -14,7 +14,7 @@ from xplain.errors import (
     NonBinaryTargetError,
     StratificationError,
 )
-from xplain.explainers import explain_lpi
+from xplain.explainers import explain
 
 from conftest import BUNDLED, DATASETS_DIR, SRC_DIR, linear_model, write_csv
 
@@ -266,7 +266,7 @@ class TestLayout:
         assert ds.numeric_indices == (0, 1, 2, 3)
         w = np.array([1.0, 2.0, 3.0, 4.0])
         x = ds.X_test[0]
-        phi = explain_lpi(linear_model(w), x, ds, seed=1).phi  # one full permutation
+        phi = explain("lpi", "logodds", linear_model(w), x, ds, seed=1).phi  # one full permutation
         assert np.max(np.abs(phi - w * (x - ds.X_train.mean(axis=0)))) < 1e-12
         std = data.apply_preprocess(data.fit_preprocess(ds, "standardize"), ds.X_train)
         assert np.all(np.abs(std.mean(axis=0)) < 1e-12)

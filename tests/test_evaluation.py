@@ -20,7 +20,7 @@ from xplain.evaluation import (
     spearman,
     summarize_scores,
 )
-from xplain.explainers import ExplainerConfig, LimeConfig, LpiConfig, ShapConfig
+from xplain.explainers import ExplainerConfig
 from xplain.models import ground_truth
 from xplain.models import predict_proba, train_gnb, train_logistic
 
@@ -101,6 +101,15 @@ class TestSpearman:
         with pytest.raises(VectorTooShortError):
             spearman(np.array([1.0]), np.array([2.0]))
 
+    @pytest.mark.parametrize("phi,lam", [
+        ([math.nan, math.nan, math.nan], [1.0, 2.0, 3.0]),  # r = 1.0 without the check
+        ([1.0, math.nan, 2.0], [1.0, 2.0, 3.0]),  # r = 0.5 without the check
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 2.0]),
+    ])
+    def test_non_finite_input_rejected(self, phi, lam):
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman(phi, lam)
+
 
 def test_fractional_ranks_ties():
     ranks = fractional_ranks(np.array([10.0, 20.0, 10.0, 5.0]))
@@ -176,11 +185,8 @@ class TestEvaluateDataset:
         X[y == 1] += 0.7
         ds = numeric_dataset(X, X_test=X[:12], y_train=y, y_test=y[:12], name="mini")
         model = train_gnb(X, y)
-        cfg = ExplainerConfig(
-            lime=LimeConfig(samples=200),
-            shap=ShapConfig(samples=200, background_size=30),
-            lpi=LpiConfig(samples=40),
-        )
+        cfg = ExplainerConfig(lime_samples=200, shap_samples=200, shap_background=30,
+                              lpi_samples=40)
         return ds, model, cfg
 
     def test_deterministic(self):
@@ -250,7 +256,7 @@ class TestEvaluateDataset:
         config = data.DatasetConfig.from_json(DATASETS_DIR / "pima.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
         model = train_gnb(ds.X_train, ds.y_train)
-        cfg = ExplainerConfig(lime=LimeConfig(samples=1000), lpi=LpiConfig(samples=128))
+        cfg = ExplainerConfig(lime_samples=1000, lpi_samples=128)
         sizes = []
 
         def spy(model, X):
@@ -269,11 +275,8 @@ class TestEvaluateDataset:
         """One-hot groups and sampled KernelSHAP: blocks of 5 instances give
         the scores and ground truths of blocks of 64, bit for bit."""
         ds = wide_mixed_dataset(tmp_path)
-        cfg = ExplainerConfig(
-            lime=LimeConfig(samples=200),
-            shap=ShapConfig(samples=200, background_size=20),
-            lpi=LpiConfig(samples=50),
-        )
+        cfg = ExplainerConfig(lime_samples=200, shap_samples=200, shap_background=20,
+                              lpi_samples=50)
         techniques = ["lime", "shap", "lpi"]
         for model in (
             train_logistic(ds.X_train, ds.y_train, search_trials=2, seed=1),
@@ -360,7 +363,7 @@ def small_cell(name: str, kind: str, m: int):
         model = linear_model([0.8, -0.4, 1.1, 0.3])
     else:
         model = train_gnb(X, y)
-    cfg = ExplainerConfig(lime=LimeConfig(samples=100), lpi=LpiConfig(samples=20))
+    cfg = ExplainerConfig(lime_samples=100, lpi_samples=20)
     return ds, kind, evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=2)
 
 
@@ -378,7 +381,7 @@ class TestReportSet:
             argv += ["--dataset", str(DATASETS_DIR / f"{name}.json")]
         assert cli.main(argv) == 0
 
-        cfg = ExplainerConfig(lime=LimeConfig(samples=400), shap=ShapConfig(samples=400))
+        cfg = ExplainerConfig(lime_samples=400, shap_samples=400)
         cells = []
         for name in names:
             config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,13 +11,7 @@ from xplain.explainers import (
     TARGET_SPACES,
     TECHNIQUES,
     ExplainerConfig,
-    LimeConfig,
-    LpiConfig,
-    ShapConfig,
     explain,
-    explain_lime,
-    explain_lpi,
-    explain_shap,
 )
 from xplain.models import (
     PROBA_CLIP,
@@ -60,11 +55,11 @@ def categorical_dataset(seed=0, m=80):
 
 
 def _reference_lime(model, x, dataset, samples, seed):
-    """explain_lime drawn column by column with rng.normal, one slot at a
+    """explain's LIME drawn column by column with rng.normal, one slot at a
     time, and scored row-major."""
     n = dataset.n_features
     S = samples
-    kernel_width = 0.75 * math.sqrt(n)
+    width = 0.75 * math.sqrt(n)
     rng = np.random.default_rng([1, seed])
     Z = np.tile(x, (S, 1))
     d2 = np.zeros(S)
@@ -82,7 +77,7 @@ def _reference_lime(model, x, dataset, samples, seed):
             Z[:, cols] = 0.0
             Z[np.arange(S), cols[cats]] = 1.0
             d2 += np.any(Z[:, cols] != x[cols], axis=1).astype(float)
-    weights = np.exp(-d2 / kernel_width**2)
+    weights = np.exp(-d2 / width**2)
     y = predict_logodds(model, Z)
     A = np.column_stack([np.ones(S), Z])
     Aw = A * weights[:, None]
@@ -96,7 +91,7 @@ class TestLime:
         ds = unit_std_dataset()
         w = np.array([2.0, -1.3, 0.7, 0.25, -0.4, 0.15])
         model = linear_model(w, 0.3)
-        e = explain_lime(model, ds.X_train[3], ds, seed=5)
+        e = explain("lime", "logodds", model, ds.X_train[3], ds, seed=5)
         rel = np.abs(e.phi - w) / np.abs(w)
         assert np.all(rel[np.abs(w) > 0.1] < 0.05)
         from xplain.evaluation import spearman
@@ -106,22 +101,22 @@ class TestLime:
         ds = unit_std_dataset(seed=1)
         w = np.array([2.0, -1.5, 1.0, 0.0, 0.8, -0.6])
         model = linear_model(w)
-        e = explain_lime(model, ds.X_train[0], ds, seed=2)
+        e = explain("lime", "logodds", model, ds.X_train[0], ds, seed=2)
         assert abs(e.phi[3]) < 0.05 * np.max(np.abs(e.phi))
 
     def test_deterministic(self):
         ds = unit_std_dataset(seed=2)
         model = linear_model(np.ones(6))
-        a = explain_lime(model, ds.X_train[1], ds, seed=9)
-        b = explain_lime(model, ds.X_train[1], ds, seed=9)
+        a = explain("lime", "logodds", model, ds.X_train[1], ds, seed=9)
+        b = explain("lime", "logodds", model, ds.X_train[1], ds, seed=9)
         assert np.array_equal(a.phi, b.phi)
-        c = explain_lime(model, ds.X_train[1], ds, seed=10)
+        c = explain("lime", "logodds", model, ds.X_train[1], ds, seed=10)
         assert not np.array_equal(a.phi, c.phi)
 
     def test_categorical_groups_resampled_whole(self):
         ds = categorical_dataset()
         gnb = train_gnb(ds.X_train, ds.y_train)
-        e = explain_lime(gnb, ds.X_test[0], ds, seed=4)
+        e = explain("lime", "logodds", gnb, ds.X_test[0], ds, seed=4)
         assert np.all(np.isfinite(e.phi))
         assert len(e.phi) == ds.n_features
 
@@ -130,9 +125,9 @@ class TestLime:
             DATASETS_DIR / "iris_binary.json"))
         for ds in (iris, categorical_dataset()):
             gnb = train_gnb(ds.X_train, ds.y_train)
-            cfg = ExplainerConfig(lime=LimeConfig(samples=400))
+            cfg = ExplainerConfig(lime_samples=400)
             for i in range(3):
-                e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
+                e = explain("lime", "logodds", gnb, ds.X_test[i], ds, cfg, seed=i)
                 ref = _reference_lime(gnb, ds.X_test[i], ds, 400, seed=i)
                 assert np.array_equal(e.phi, ref), (ds.name, i)
         draws = explainers._lime_draws(categorical_dataset())
@@ -153,16 +148,18 @@ class TestLime:
         ds = numeric_dataset(X, X_test=X + 1.0, y_train=[1], y_test=[0])
         assert explainers._lime_draws(ds) == []  # no column has a training spread
         model = linear_model([1.0, 2.0, -1.0])
-        e = explain_lime(model, ds.X_test[0], ds, seed=3)
+        e = explain("lime", "logodds", model, ds.X_test[0], ds, seed=3)
         assert np.max(np.abs(e.phi)) < 1e-9  # every perturbation is x itself
         assert np.array_equal(e.phi, _reference_lime(model, ds.X_test[0], ds, 5000, seed=3))
 
-    def test_degenerate_weights_error(self):
+    def test_degenerate_weights_error(self, monkeypatch):
         ds = unit_std_dataset(seed=3)
         model = linear_model(np.ones(6))
-        cfg = ExplainerConfig(lime=LimeConfig(samples=100, kernel_width=1e-200))
+        cfg = ExplainerConfig(lime_samples=100)
+        # a kernel width of 1e-200, which underflows every weight to zero
+        monkeypatch.setattr(explainers.math, "sqrt", lambda v: 1e-200 / 0.75)
         with pytest.raises(DegenerateWeightsError):
-            explain_lime(model, ds.X_train[0], ds, cfg, seed=1)
+            explain("lime", "logodds", model, ds.X_train[0], ds, cfg, seed=1)
 
 
 class TestShap:
@@ -170,7 +167,7 @@ class TestShap:
         ds = numeric_dataset(np.linspace(0, 1, 20).reshape(-1, 1))
         model = linear_model([2.0], 1.0)
         x = np.array([0.75])
-        e = explain_shap(model, x, ds, seed=1)
+        e = explain("shap", "logodds", model, x, ds, seed=1)
         f = lambda Z: predict_logodds(model, Z)
         expected = f(x) - np.mean(f(ds.X_train))
         assert e.phi[0] == pytest.approx(expected, abs=1e-12)
@@ -184,7 +181,7 @@ class TestShap:
             w = rng.normal(0, 1.5, n)
             model = linear_model(w, rng.normal())
             x = rng.normal(0, 1, n)
-            e = explain_shap(model, x, ds, seed=3)
+            e = explain("shap", "logodds", model, x, ds, seed=3)
             closed = w * (x - ds.X_train.mean(axis=0))
             assert np.max(np.abs(e.phi - closed)) < 1e-6
             assert e.sample_count == 2**n
@@ -192,7 +189,7 @@ class TestShap:
     def test_constant_model_zero(self):
         ds = numeric_dataset(np.random.default_rng(7).normal(0, 1, (50, 4)))
         model = linear_model(np.zeros(4), 2.5)
-        e = explain_shap(model, np.ones(4), ds, seed=2)
+        e = explain("shap", "logodds", model, np.ones(4), ds, seed=2)
         assert np.max(np.abs(e.phi)) < 1e-9
 
     def test_symmetry(self):
@@ -202,14 +199,14 @@ class TestShap:
         ds = numeric_dataset(X)
         model = linear_model([1.3, 1.3, -0.5])
         x = np.array([0.8, 0.8, 0.1])
-        e = explain_shap(model, x, ds, seed=5)
+        e = explain("shap", "logodds", model, x, ds, seed=5)
         assert abs(e.phi[0] - e.phi[1]) < 1e-6
 
     def test_dummy_feature_zero(self):
         rng = np.random.default_rng(9)
         ds = numeric_dataset(rng.normal(0, 1, (80, 5)))
         model = linear_model([1.0, 0.0, -2.0, 0.5, 0.0])
-        e = explain_shap(model, rng.normal(0, 1, 5), ds, seed=6)
+        e = explain("shap", "logodds", model, rng.normal(0, 1, 5), ds, seed=6)
         assert abs(e.phi[1]) < 1e-9 and abs(e.phi[4]) < 1e-9
 
     def test_local_accuracy_nonlinear(self):
@@ -221,7 +218,7 @@ class TestShap:
         model = train_gnb(X, y)
         x = rng.normal(0, 1, 6)
         for target, f in (("logodds", predict_logodds), ("probability", predict_proba)):
-            e = explain_shap(model, x, ds, seed=7, target_space=target)
+            e = explain("shap", target, model, x, ds, seed=7)
             assert abs(e.base_value + e.phi.sum() - f(model, x)) < 1e-6
 
     def test_sampled_path_linear_exact(self):
@@ -233,8 +230,8 @@ class TestShap:
         w = rng.normal(0, 1, n)
         model = linear_model(w, 0.4)
         x = rng.normal(0, 1, n)
-        cfg = ExplainerConfig(shap=ShapConfig(samples=3000))
-        e = explain_shap(model, x, ds, cfg, seed=8)
+        cfg = ExplainerConfig(shap_samples=3000)
+        e = explain("shap", "logodds", model, x, ds, cfg, seed=8)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-6
         # draws come in complement pairs after empty + full, so 3000 draws exactly
@@ -245,9 +242,9 @@ class TestShap:
         ds = numeric_dataset(rng.normal(0, 1, (300, 15)))
         model = linear_model(rng.normal(0, 1, 15))
         x = rng.normal(0, 1, 15)
-        cfg = ExplainerConfig(shap=ShapConfig(samples=500))
-        a = explain_shap(model, x, ds, cfg, seed=1)
-        b = explain_shap(model, x, ds, cfg, seed=1)
+        cfg = ExplainerConfig(shap_samples=500)
+        a = explain("shap", "logodds", model, x, ds, cfg, seed=1)
+        b = explain("shap", "logodds", model, x, ds, cfg, seed=1)
         assert np.array_equal(a.phi, b.phi)
 
 
@@ -266,8 +263,8 @@ class TestShap:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", spy)
-        cfg = ExplainerConfig(shap=ShapConfig(samples=samples))
-        e = explain_shap(model, X[0], ds, cfg, seed=1)
+        cfg = ExplainerConfig(shap_samples=samples)
+        e = explain("shap", "logodds", model, X[0], ds, cfg, seed=1)
         assert calls == [(15, 15)]
         assert np.all(np.isfinite(e.phi))
         fx = predict_logodds(model, X[:1])[0]
@@ -511,14 +508,14 @@ class TestGnbAdditiveOracle:
     @pytest.mark.parametrize("n,samples", [(5, 5000), (12, 5000), (16, 3000), (18, 1300)])
     def test_shap(self, n, samples):
         ds, model, x, closed = self._setup(n, seed=n)
-        cfg = ExplainerConfig(shap=ShapConfig(samples=samples))
-        e = explain_shap(model, x, ds, cfg, seed=1)
+        cfg = ExplainerConfig(shap_samples=samples)
+        e = explain("shap", "logodds", model, x, ds, cfg, seed=1)
         assert e.sample_count == (2**n if n <= explainers.EXACT_SHAP_LIMIT else samples)
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
     def test_full_permutation_lpi(self):
         ds, model, x, closed = self._setup(7, seed=23)
-        e = explain_lpi(model, x, ds, seed=2)
+        e = explain("lpi", "logodds", model, x, ds, seed=2)
         assert e.sample_count == ds.X_train.shape[0]
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
@@ -531,13 +528,13 @@ def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
     ds = wide_mixed_dataset(tmp_path)
     n, m = ds.n_features, ds.X_train.shape[0]
     assert n > explainers.EXACT_SHAP_LIMIT
-    cfg = ExplainerConfig(shap=ShapConfig(samples=1300, background_size=m))
+    cfg = ExplainerConfig(shap_samples=1300, shap_background=m)
     for model in (train_logistic(ds.X_train, ds.y_train, search_trials=3),
                    train_gnb(ds.X_train, ds.y_train)):
         mean_lam = feature_terms(model, ds.X_train)[1].mean(axis=0)
         for i in range(4):
             x = ds.X_test[i]
-            e = explain_shap(model, x, ds, cfg, seed=i)
+            e = explain("shap", "logodds", model, x, ds, cfg, seed=i)
             assert e.sample_count == 1300
             closed = feature_terms(model, x)[1] - mean_lam
             assert np.max(np.abs(e.phi - closed)) < 1e-12, (model.kind, i)
@@ -553,15 +550,13 @@ class TestBlocks:
         if name == "iris_binary":  # bundled; exact SHAP, 76 rows per instance
             config = data.DatasetConfig.from_json(DATASETS_DIR / "iris_binary.json")
             ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
-            cfg = ExplainerConfig(lime=LimeConfig(samples=300),
-                                  shap=ShapConfig(background_size=5), lpi=LpiConfig(samples=90))
+            cfg = ExplainerConfig(lime_samples=300, shap_background=5, lpi_samples=90)
         elif name == "categorical":
             ds = categorical_dataset()
-            cfg = ExplainerConfig(lime=LimeConfig(samples=700), shap=ShapConfig(background_size=30))
+            cfg = ExplainerConfig(lime_samples=700, shap_background=30)
         else:  # wide-mixed: sampled SHAP, several calls per instance
             ds = wide_mixed_dataset(tmp_path)
-            cfg = ExplainerConfig(lime=LimeConfig(samples=300),
-                                  shap=ShapConfig(samples=300, background_size=40))
+            cfg = ExplainerConfig(lime_samples=300, shap_samples=300, shap_background=40)
         models = [train_logistic(ds.X_train, ds.y_train, search_trials=2),
                    train_gnb(ds.X_train, ds.y_train)]
         return ds, cfg, models
@@ -612,7 +607,7 @@ class TestBlocks:
         """LIME's S perturbations of an instance are one model call, whether or
         not S is small enough for SHAP and LPI to pack it with others."""
         ds = categorical_dataset()
-        cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
+        cfg = ExplainerConfig(lime_samples=samples)
         gnb = train_gnb(ds.X_train, ds.y_train)
         sizes = []
 
@@ -629,7 +624,7 @@ class TestBlocks:
         ds = numeric_dataset(rng.normal(0, 1, (60, 3)))
         model = linear_model([0.5, -1.0, 2.0])
         S = explainers._BLOCK_ROWS + 1
-        cfg = ExplainerConfig(lpi=LpiConfig(samples=S))
+        cfg = ExplainerConfig(lpi_samples=S)
         sizes = []
 
         def spy(model, X):
@@ -679,8 +674,8 @@ class TestLayout:
             ds, cfg, (lr, _) = TestBlocks._case(name, tmp_path)
             # pieces packed into calls, then LPI pieces and SHAP backgrounds scored alone
             for size in (90, explainers._PACK_ROWS + 1):
-                cfg = ExplainerConfig(lime=cfg.lime, lpi=LpiConfig(samples=size),
-                                      shap=ShapConfig(samples=300, background_size=size))
+                cfg = dataclasses.replace(cfg, lpi_samples=size,
+                                          shap_samples=300, shap_background=size)
                 for technique in TECHNIQUES:
                     seen.clear()
                     explain(technique, "logodds", lr, ds.X_test[:3], ds, cfg, [1, 2, 3])
@@ -737,8 +732,8 @@ class TestLayout:
         assert draws[0][0] == [0] and draws[0][1].tolist() == [0]
         gnb = train_gnb(ds.X_train, ds.y_train)
         for i, samples in enumerate((1, 7, 400)):
-            cfg = ExplainerConfig(lime=LimeConfig(samples=samples))
-            e = explain_lime(gnb, ds.X_test[i], ds, cfg, seed=i)
+            cfg = ExplainerConfig(lime_samples=samples)
+            e = explain("lime", "logodds", gnb, ds.X_test[i], ds, cfg, seed=i)
             ref = _reference_lime(gnb, ds.X_test[i], ds, samples, seed=i)
             assert np.array_equal(e.phi, ref), samples
 
@@ -751,7 +746,7 @@ class TestLpi:
         ds = numeric_dataset(X)
         model = linear_model([2.0, 1.0, 1.0])
         x = np.array([1.0, 0.5, 0.0])  # x[0] equals the constant column
-        e = explain_lpi(model, x, ds, seed=3)
+        e = explain("lpi", "logodds", model, x, ds, seed=3)
         assert e.phi[0] == 0.0
 
     def test_linear_closed_form(self):
@@ -760,7 +755,7 @@ class TestLpi:
         w = rng.normal(0, 1, 5)
         model = linear_model(w, -0.2)
         x = rng.normal(0, 1, 5)
-        e = explain_lpi(model, x, ds, seed=4)
+        e = explain("lpi", "logodds", model, x, ds, seed=4)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-9
 
@@ -771,8 +766,8 @@ class TestLpi:
         w = np.array([1.0, -2.0, 0.5])
         model = linear_model(w)
         x = rng.normal(0, 1, 3)
-        cfg = ExplainerConfig(lpi=LpiConfig(samples=2 * m))  # two full permutations
-        e = explain_lpi(model, x, ds, cfg, seed=5)
+        cfg = ExplainerConfig(lpi_samples=2 * m)  # two full permutations
+        e = explain("lpi", "logodds", model, x, ds, cfg, seed=5)
         closed = w * (x - ds.X_train.mean(axis=0))
         assert np.max(np.abs(e.phi - closed)) < 1e-9
         assert e.sample_count == 2 * m
@@ -781,13 +776,13 @@ class TestLpi:
         rng = np.random.default_rng(15)
         ds = numeric_dataset(rng.normal(0, 1, (50, 4)))
         model = linear_model([1.0, 0.0, 2.0, 0.0])
-        e = explain_lpi(model, rng.normal(0, 1, 4), ds, seed=6)
+        e = explain("lpi", "logodds", model, rng.normal(0, 1, 4), ds, seed=6)
         assert e.phi[1] == 0.0 and e.phi[3] == 0.0
 
     def test_groups_share_score_and_stay_valid(self):
         ds = categorical_dataset(seed=1)
         gnb = train_gnb(ds.X_train, ds.y_train)
-        e = explain_lpi(gnb, ds.X_test[0], ds, seed=7)
+        e = explain("lpi", "logodds", gnb, ds.X_test[0], ds, seed=7)
         (group,) = ds.groups
         values = e.phi[list(group.indices)]
         assert np.all(values == values[0])
@@ -798,9 +793,9 @@ class TestLpi:
         ds = numeric_dataset(rng.normal(0, 1, (60, 4)))
         model = linear_model(rng.normal(0, 1, 4))
         x = rng.normal(0, 1, 4)
-        signed = explain_lpi(model, x, ds, seed=8)
-        absolute = explain_lpi(
-            model, x, ds, ExplainerConfig(lpi=LpiConfig(absolute=True)), seed=8
+        signed = explain("lpi", "logodds", model, x, ds, seed=8)
+        absolute = explain(
+            "lpi", "logodds", model, x, ds, ExplainerConfig(lpi_absolute=True), seed=8
         )
         assert np.all(absolute.phi >= np.abs(signed.phi) - 1e-12)
 
@@ -810,8 +805,8 @@ class TestLpi:
         model = linear_model(rng.normal(0, 1, 4))
         x = rng.normal(0, 1, 4)
         assert np.array_equal(
-            explain_lpi(model, x, ds, seed=9).phi,
-            explain_lpi(model, x, ds, seed=9).phi,
+            explain("lpi", "logodds", model, x, ds, seed=9).phi,
+            explain("lpi", "logodds", model, x, ds, seed=9).phi,
         )
 
 
@@ -844,6 +839,20 @@ class TestDispatch:
         with pytest.raises(TypeError, match="^not a model: object$"):
             explain(technique, "logodds", object(), np.zeros(2), ds)
 
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    @pytest.mark.parametrize("shape,seed", [((2,), 1), ((4, 2), [1, 2, 3, 4])])
+    def test_instance_width_must_match_dataset(self, technique, shape, seed):
+        ds = numeric_dataset(np.random.default_rng(22).normal(0, 1, (20, 3)))
+        with pytest.raises(DimensionMismatchError, match=r"\b2 feature.* 3$"):
+            explain(technique, "logodds", linear_model([1.0, 2.0, 3.0]), np.zeros(shape), ds,
+                    seed=seed)
+
+    @pytest.mark.parametrize("technique", TECHNIQUES)
+    def test_empty_training_split_is_an_error(self, technique):
+        ds = numeric_dataset(np.empty((0, 3)), X_test=np.ones((2, 3)), y_train=[], y_test=[0, 1])
+        with pytest.raises(ValueError, match="training split has no rows"):
+            explain(technique, "logodds", linear_model([1.0, 2.0, 3.0]), ds.X_test[0], ds, seed=1)
+
     def test_unknown_target_space(self):
         ds = numeric_dataset(np.zeros((10, 2)))
         with pytest.raises(ValueError):
@@ -851,13 +860,11 @@ class TestDispatch:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LimeConfig(samples=0)
+            ExplainerConfig(lime_samples=0)
         with pytest.raises(ValueError):
-            LimeConfig(kernel_width=0.0)
+            ExplainerConfig(shap_background=0)
         with pytest.raises(ValueError):
-            ShapConfig(background_size=0)
-        with pytest.raises(ValueError):
-            LpiConfig(samples=-1)
+            ExplainerConfig(lpi_samples=-1)
 
 
 def test_finite_phi_on_every_bundled_dataset_both_models():
@@ -865,11 +872,7 @@ def test_finite_phi_on_every_bundled_dataset_both_models():
     from xplain.models import train_logistic
     from conftest import BUNDLED, DATASETS_DIR
 
-    cfg = ExplainerConfig(
-        lime=LimeConfig(samples=250),
-        shap=ShapConfig(samples=250, background_size=50),
-        lpi=LpiConfig(samples=50),
-    )
+    cfg = ExplainerConfig(lime_samples=250, shap_samples=250, shap_background=50, lpi_samples=50)
     for name in BUNDLED:
         config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
@@ -891,11 +894,7 @@ def test_all_techniques_finite_on_mixed_models():
     y[:2] = [0, 1]
     X[y == 1] += 0.5
     ds = numeric_dataset(X, y_train=y)
-    cfg = ExplainerConfig(
-        lime=LimeConfig(samples=300),
-        shap=ShapConfig(samples=300, background_size=40),
-        lpi=LpiConfig(samples=60),
-    )
+    cfg = ExplainerConfig(lime_samples=300, shap_samples=300, shap_background=40, lpi_samples=60)
     models = [linear_model(rng.normal(0, 1, 5)), train_gnb(X, y)]
     for model in models:
         for technique in ("lime", "shap", "lpi"):
