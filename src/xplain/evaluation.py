@@ -1,11 +1,12 @@
 """Per-instance rank correlation against ground truth, plus the aggregations.
 
 One score per (instance, technique): Spearman correlation between the
-explanation vector and the instance's row of the analytic attributions, which
-are extracted once per (dataset, model) cell. Scores aggregate to a
-per-dataset median and, across datasets, to per-technique average ranks
-(rank 1 = highest median, lower average rank = better). report_set turns an
-evaluated grid into the report files' contents.
+explanation vector and the instance's row of the analytic attributions. A
+(dataset, model) cell is evaluated in one pass: its ground truth is extracted
+once, and each technique explains the whole test split in one explain() call.
+Scores aggregate to a per-dataset median and, across datasets, to
+per-technique average ranks (rank 1 = highest median, lower average rank =
+better). report_set turns an evaluated grid into the report files' contents.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ from .explainers import ExplainerConfig, explain
 from .models import GaussianNBModel, GroundTruth, LogisticModel, Model, ground_truth
 
 SIGNIFICANT_CORRELATION = 0.7
-
-# test instances per evaluate_instance and explain() call: enough that
-# consecutive instances fill model calls of explainers._BLOCK_ROWS rows; each
-# instance keeps its own seed, so no result depends on this size
-INSTANCE_BLOCK = 64
 
 # medians are rounded to this many digits before tie comparison so that rank
 # ties are reproducible across platforms
@@ -129,10 +125,8 @@ def evaluate_instance(
     LogisticModel or a GaussianNBModel), and their ground-truth rows lam
     (k, n): per technique (in order), the Spearman score of each instance's
     explanation against its row. Each technique explains the whole block in
-    one explain() call; evaluate_dataset makes one call per block of
-    INSTANCE_BLOCK test instances."""
-    if np.ndim(X) != 2:
-        raise DimensionMismatchError(f"expected a block of instances (k, n), got {np.shape(X)}")
+    one explain() call, which raises DimensionMismatchError for an X that is
+    not such a block; evaluate_dataset passes a cell's whole test split."""
     scores = []
     for technique in techniques:
         phi = explain(technique, target_space, model, X, dataset, config, seeds).phi
@@ -175,26 +169,20 @@ def evaluate_dataset(
     seed: int = 0,
 ) -> list[DatasetScoreSet]:
     """Evaluates the test split under one model (a LogisticModel or a
-    GaussianNBModel): the ground truth of the whole split, extracted in one
-    call, then every technique's scores in blocks of INSTANCE_BLOCK
-    consecutive instances, one evaluate_instance call per block. Instance k
-    uses the seed derived from (seed, k), so results do not depend on the
-    block size. Returns one score set per technique, in the order given,
-    each carrying that ground truth."""
+    GaussianNBModel) in one pass: the ground truth of the whole split,
+    extracted in one call, then one evaluate_instance call over the whole
+    split. Instance k uses the seed derived from (seed, k), and every
+    explainer scores each instance on its own, so a score does not depend on
+    which instances share its call. Returns one score set per technique, in
+    the order given, each carrying that ground truth."""
     m = dataset.X_test.shape[0]
     if m == 0:
         raise ValueError(f"dataset {dataset.name!r} has an empty test split")
     truth = ground_truth(model, dataset.X_test)
-    scores: list[list[CorrelationScore]] = [[] for _ in techniques]
-    for start in range(0, m, INSTANCE_BLOCK):
-        stop = min(start + INSTANCE_BLOCK, m)
-        block_scores = evaluate_instance(
-            dataset.X_test[start:stop], truth.lam[start:stop], model, techniques,
-            target_space, dataset, config,
-            seeds=[derive_seed(seed, k) for k in range(start, stop)],
-        )
-        for collected, block in zip(scores, block_scores):
-            collected += block
+    scores = evaluate_instance(
+        dataset.X_test, truth.lam, model, techniques, target_space, dataset, config,
+        seeds=[derive_seed(seed, k) for k in range(m)],
+    )
     return [summarize_scores(dataset.name, t, s, truth) for t, s in zip(techniques, scores)]
 
 

@@ -67,7 +67,7 @@ class ExplainerConfig:
         if self.lime_samples < 1:
             raise InvalidConfigError("lime samples must be >= 1")
         if self.shap_samples < 1 or self.shap_background < 1:
-            raise InvalidConfigError("shap samples and background_size must be >= 1")
+            raise InvalidConfigError("shap samples and shap background must be >= 1")
         if self.lpi_samples is not None and self.lpi_samples < 1:
             raise InvalidConfigError("lpi samples must be >= 1")
 

@@ -29,6 +29,11 @@ from .errors import ConvergenceError, DimensionMismatchError, InvalidConfigError
 
 PROBA_CLIP = 1e-12
 
+# fit_logistic stops once one iteration changes the objective by less than
+# FIT_TOL, or after FIT_MAX_ITER iterations unconverged; both are read at call time
+FIT_TOL = 1e-8
+FIT_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class LogisticModel:
@@ -109,8 +114,6 @@ def fit_logistic(
     y: np.ndarray,
     penalty: str = "l2",
     strength: float = 0.0,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
 ) -> LogisticModel:
     """Minimize negative log-likelihood + strength * penalty by proximal gradient.
 
@@ -133,7 +136,7 @@ def fit_logistic(
     step = 1.0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, FIT_MAX_ITER + 1):
         gw, gb = _smooth_grad(w, b, X, y, penalty, strength)
         step = min(step * 2.0, 1e6)
         while True:
@@ -160,7 +163,7 @@ def fit_logistic(
         new_obj = g_val + l1 * float(np.sum(np.abs(w)))
         if it % 100 == 0:
             checkpoints.append(new_obj)
-        if abs(obj - new_obj) < tol:
+        if abs(obj - new_obj) < FIT_TOL:
             obj = new_obj
             converged = True
             break
@@ -183,8 +186,6 @@ def train_logistic(
     y: np.ndarray,
     search_trials: int = 100,
     seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
 ) -> LogisticModel:
     """Random hyperparameter search over L1/L2 penalty with strength ~ U(0, 4).
 
@@ -207,7 +208,7 @@ def train_logistic(
         rng = np.random.default_rng([seed, t + 1])
         penalty = "l1" if rng.integers(2) == 0 else "l2"
         strength = float(rng.uniform(0.0, 4.0))
-        model = fit_logistic(X_fit, y_fit, penalty, strength, tol, max_iter)
+        model = fit_logistic(X_fit, y_fit, penalty, strength)
         if not model.converged:
             continue
         acc = accuracy(model, X_val, y_val)
@@ -215,9 +216,9 @@ def train_logistic(
             best = (acc, t, penalty, strength)
     if best is None:
         raise ConvergenceError(
-            f"no trial converged within {max_iter} iterations ({search_trials} trials)"
+            f"no trial converged within {FIT_MAX_ITER} iterations ({search_trials} trials)"
         )
-    return fit_logistic(X, y, best[2], best[3], tol, max_iter)
+    return fit_logistic(X, y, best[2], best[3])
 
 
 def train_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNBModel:

@@ -1,6 +1,8 @@
 """Shared helpers for building small datasets and models in tests."""
 
 import importlib.util
+import itertools
+import math
 import os
 from pathlib import Path
 
@@ -53,6 +55,26 @@ def linear_model(weights, intercept=0.0) -> LogisticModel:
         penalty="l2",
         strength=0.0,
     )
+
+
+def permutation_shapley(f, x, background, n):
+    """Brute-force interventional Shapley values of f at x over the n features:
+    each coalition valued as the mean of f over the background rows with x on
+    the coalition, averaged over all n! orderings."""
+    values = {}
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            mask = np.zeros(n, dtype=bool)
+            mask[list(subset)] = True
+            values[subset] = float(np.mean(f(np.where(mask, x, background))))
+    phi = np.zeros(n)
+    for perm in itertools.permutations(range(n)):
+        current: list[int] = []
+        for j in perm:
+            before = values[tuple(sorted(current))]
+            current.append(j)
+            phi[j] += values[tuple(sorted(current))] - before
+    return phi / math.factorial(n)
 
 
 def write_csv(path: Path, header: str, lines: list[str]):

@@ -5,7 +5,6 @@ lines as they complete. The heavyweight benchmark grid (criteria 5/6/8) is
 computed once in a module-scoped fixture.
 """
 
-import itertools
 import math
 import subprocess
 import sys
@@ -27,7 +26,7 @@ from xplain.models import (
     train_logistic,
 )
 
-from conftest import BUNDLED, DATASETS_DIR, linear_model, numeric_dataset
+from conftest import BUNDLED, DATASETS_DIR, linear_model, numeric_dataset, permutation_shapley
 
 EVAL_SEED = 42
 
@@ -95,23 +94,6 @@ def test_criterion_1_additivity_oracles():
            f"gnb worst {worst_gnb:.2e}, {elapsed:.1f}s")
 
 
-def _permutation_shapley(f, x, background, n):
-    values = {}
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            mask = np.zeros(n, dtype=bool)
-            mask[list(subset)] = True
-            values[subset] = float(np.mean(f(np.where(mask, x, background))))
-    phi = np.zeros(n)
-    for perm in itertools.permutations(range(n)):
-        current: list[int] = []
-        for j in perm:
-            before = values[tuple(sorted(current))]
-            current.append(j)
-            phi[j] += values[tuple(sorted(current))] - before
-    return phi / math.factorial(n)
-
-
 def test_criterion_2_exact_shapley_equivalence():
     start = time.time()
     rng = np.random.default_rng(1)
@@ -124,7 +106,7 @@ def test_criterion_2_exact_shapley_equivalence():
             x = rng.normal(0, 1, n)
             e = explain("shap", "logodds", model, x, ds, seed=int(rng.integers(1 << 30)))
             f = lambda Z: np.atleast_1d(predict_logodds(model, Z))
-            oracle = _permutation_shapley(f, x, ds.X_train, n)
+            oracle = permutation_shapley(f, x, ds.X_train, n)
             closed = w * (x - ds.X_train.mean(axis=0))
             worst_oracle = max(worst_oracle, float(np.max(np.abs(e.phi - oracle))))
             worst_closed = max(worst_closed, float(np.max(np.abs(e.phi - closed))))

@@ -376,6 +376,8 @@ def test_bad_input_one_line_error(argv, bad_configs, tmp_path, capsys):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    if {"--shap-samples", "--shap-background"} & set(argv):
+        assert err[0].endswith(": shap samples and shap background must be >= 1"), err
 
 
 @pytest.mark.parametrize("argv", [
@@ -685,6 +687,8 @@ def test_benchmark_tracer_installs(tmp_path):
             "models.predict_logodds"} <= {s[name] for s in spans}
     # the ground truth is extracted once per (dataset, model) cell
     assert sum(s[name] == "groundtruth.ground_truth" for s in spans) == 2
+    # and every technique explains the cell's whole test split in one call
+    assert sum(s[name] == "evaluation.evaluate_instance" for s in spans) == 2
     # the tracer reads each family's name off the model it is given
     for traced in ("explainers.explain", "models.predict_logodds"):
         assert {s[attrs]["model"] for s in spans if s[name] == traced} == {"lr", "gnb"}

@@ -203,8 +203,8 @@ class TestEvaluateDataset:
         assert s.median == np.median([x.r for x in s.scores])
 
     def test_ground_truth_once_per_cell(self, monkeypatch):
-        """One extraction on the whole test split, however many blocks (three
-        of at most 5 here) score against it."""
+        """One extraction on the whole test split, which every technique's
+        scores share."""
         ds, model, cfg = self.make()
         calls = []
 
@@ -213,7 +213,6 @@ class TestEvaluateDataset:
             return ground_truth(model, x)
 
         monkeypatch.setattr(evaluation, "ground_truth", spy)
-        monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", 5)
         sets = evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=3)
         assert len(calls) == 1
         assert np.array_equal(calls[0], ds.X_test)
@@ -229,13 +228,10 @@ class TestEvaluateDataset:
                 assert np.array_equal(row, expected.lam)
                 assert s.ground_truth.offset == expected.offset
 
-    @pytest.mark.parametrize("block", [1, 5, 64])
-    def test_blocks_match_single_instances(self, block, monkeypatch):
-        """Blocks of 5 leave a last block of 2 and 64 one short block of 12;
-        every score and ground truth equals the instance's own evaluation as
-        a block of one."""
+    def test_one_pass_matches_single_instances(self):
+        """The cell's 12 instances are evaluated in one pass; every score and
+        ground truth equals the instance's own evaluation as a block of one."""
         ds, model, cfg = self.make()
-        monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
         techniques = ["lime", "shap", "lpi"]
         sets = evaluate_dataset(ds, model, techniques, "probability", cfg, seed=3)
         for k in range(12):
@@ -247,16 +243,24 @@ class TestEvaluateDataset:
             assert sets[0].ground_truth.offset == gt.offset
             assert [s.scores[k] for s in sets] == [score for (score,) in scores]
 
-    def test_model_calls_packed(self, monkeypatch):
-        """pima under the local-probability benchmark flags: one instance at a
-        time took 192 LIME calls and 192 * 9 LPI calls, 1,920 in all. Blocks
-        of instances pack LPI's f(x) rows and 128-row pieces into 51 calls of
-        at most _BLOCK_ROWS rows; each 1,000-row LIME piece, larger than
-        _PACK_ROWS, is still scored alone. The rows scored do not change."""
+    @staticmethod
+    def pima():
+        """pima (192 test rows) under GNB and the local-probability benchmark
+        flags."""
         config = data.DatasetConfig.from_json(DATASETS_DIR / "pima.json")
         ds, _ = data.preprocess_dataset(data.load_dataset(config), "standardize")
         model = train_gnb(ds.X_train, ds.y_train)
-        cfg = ExplainerConfig(lime_samples=1000, lpi_samples=128)
+        return ds, model, ExplainerConfig(lime_samples=1000, lpi_samples=128)
+
+    def test_model_calls_packed(self, monkeypatch):
+        """pima under the local-probability benchmark flags: one instance at a
+        time took 192 LIME calls and 192 * 9 LPI calls, 1,920 in all. LPI's
+        one explain() call over the whole test split packs its f(x) rows and
+        128-row pieces, 196,800 rows, into 50 calls of at most _BLOCK_ROWS
+        rows, each closed when the next piece would overflow it; each
+        1,000-row LIME piece, larger than _PACK_ROWS, is still scored alone.
+        The rows scored do not change."""
+        ds, model, cfg = self.pima()
         sizes = []
 
         def spy(model, X):
@@ -269,11 +273,12 @@ class TestEvaluateDataset:
         assert sum(sizes) == 192 * (1000 + 1 + 8 * 128)
         assert max(sizes) <= explainers._BLOCK_ROWS
         assert sizes.count(1000) == 192
-        assert len(sizes) == 192 + 51
+        assert len(sizes) == 192 + 50
 
-    def test_wide_mixed_block_size_independent(self, tmp_path, monkeypatch):
-        """One-hot groups and sampled KernelSHAP: blocks of 5 instances give
-        the scores and ground truths of blocks of 64, bit for bit."""
+    def test_wide_mixed_block_size_independent(self, tmp_path):
+        """One-hot groups and sampled KernelSHAP: the cell's one pass gives
+        the scores and ground truths of evaluate_instance over consecutive
+        5-row slices of the test split, bit for bit."""
         ds = wide_mixed_dataset(tmp_path)
         cfg = ExplainerConfig(lime_samples=200, shap_samples=200, shap_background=20,
                               lpi_samples=50)
@@ -282,16 +287,41 @@ class TestEvaluateDataset:
             train_logistic(ds.X_train, ds.y_train, search_trials=2, seed=1),
             train_gnb(ds.X_train, ds.y_train),
         ):
-            runs = []
-            for block in (5, 64):
-                monkeypatch.setattr(evaluation, "INSTANCE_BLOCK", block)
-                runs.append(evaluate_dataset(ds, model, techniques, "logodds", cfg, seed=1))
-            small, large = runs
-            for s1, s2 in zip(small, large, strict=True):
-                assert np.array_equal([x.r for x in s1.scores], [x.r for x in s2.scores])
-            g1, g2 = small[0].ground_truth, large[0].ground_truth
-            assert g1.lam.shape == ds.X_test.shape
-            assert np.array_equal(g1.lam, g2.lam) and g1.offset == g2.offset
+            sets = evaluate_dataset(ds, model, techniques, "logodds", cfg, seed=1)
+            truth = ground_truth(model, ds.X_test)
+            sliced: list[list] = [[] for _ in techniques]
+            for start in range(0, len(ds.X_test), 5):
+                stop = min(start + 5, len(ds.X_test))
+                block = evaluate_instance(
+                    ds.X_test[start:stop], truth.lam[start:stop], model, techniques,
+                    "logodds", ds, cfg, seeds=[derive_seed(1, k) for k in range(start, stop)])
+                for collected, scores in zip(sliced, block, strict=True):
+                    collected += scores
+            for s, scores in zip(sets, sliced, strict=True):
+                assert np.array_equal([x.r for x in s.scores], [x.r for x in scores])
+                assert [x.degenerate for x in s.scores] == [x.degenerate for x in scores]
+            g = sets[0].ground_truth
+            assert g.lam.shape == ds.X_test.shape
+            assert np.array_equal(g.lam, truth.lam) and g.offset == truth.offset
+
+    def test_one_explain_call_per_technique(self, monkeypatch):
+        """pima under the local-probability benchmark flags: each technique
+        explains all 192 test rows in one explain() call, instance k with the
+        seed derived from (seed, k)."""
+        ds, model, cfg = self.pima()
+        calls = []
+
+        def spy(technique, target_space, model, x, dataset, config=None, seed=0):
+            calls.append((technique, x, seed))
+            return explainers.explain(technique, target_space, model, x, dataset, config, seed)
+
+        monkeypatch.setattr(evaluation, "explain", spy)
+        evaluate_dataset(ds, model, ["lime", "lpi"], "probability", cfg, seed=1)
+        assert len(ds.X_test) == 192
+        assert [technique for technique, _, _ in calls] == ["lime", "lpi"]
+        for _, x, seeds in calls:
+            assert np.array_equal(x, ds.X_test)
+            assert list(seeds) == [derive_seed(1, k) for k in range(192)]
 
     def test_empty_test_split_rejected(self):
         ds, model, cfg = self.make()

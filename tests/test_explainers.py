@@ -23,7 +23,13 @@ from xplain.models import (
     train_logistic,
 )
 
-from conftest import DATASETS_DIR, linear_model, numeric_dataset, wide_mixed_dataset
+from conftest import (
+    DATASETS_DIR,
+    linear_model,
+    numeric_dataset,
+    permutation_shapley,
+    wide_mixed_dataset,
+)
 
 
 def unit_std_dataset(n=6, m=500, seed=0):
@@ -518,6 +524,64 @@ class TestGnbAdditiveOracle:
         e = explain("lpi", "logodds", model, x, ds, seed=2)
         assert e.sample_count == ds.X_train.shape[0]
         assert np.max(np.abs(e.phi - closed)) < 1e-9
+
+
+class TestProbabilityOracle:
+    """Under the probability target p the model is not additive, so neither
+    closed form holds; exact KernelSHAP and full-permutation LPI are checked
+    against their definitions of p instead, over the whole training split."""
+
+    @staticmethod
+    def _cases():
+        """(dataset, model) pairs: n = 3..6 numeric columns, LR and GNB."""
+        rng = np.random.default_rng(31)
+        for n in (3, 4, 5, 6):
+            X = rng.normal(0, 1, (60, n)) * rng.uniform(0.5, 2.0, n)
+            y = (rng.random(60) < 0.5).astype(int)
+            y[:2] = [0, 1]
+            X[y == 1] += rng.normal(0, 0.8, n)
+            ds = numeric_dataset(X, y_train=y)
+            yield ds, linear_model(rng.normal(0, 1.5, n), float(rng.normal()))
+            yield ds, train_gnb(X, y)
+
+    @staticmethod
+    def _direct_lpi(model, x, dataset):
+        """p(x) - mean_b p(x with slot j := b_j) over every training row b,
+        with a one-hot group replaced as a whole."""
+        grouped = [list(g.indices) for g in dataset.groups]
+        in_group = {j for cols in grouped for j in cols}
+        slots = grouped + [[j] for j in range(dataset.n_features) if j not in in_group]
+        phi = np.empty(dataset.n_features)
+        px = float(predict_proba(model, x))
+        for cols in slots:
+            Z = np.tile(x, (len(dataset.X_train), 1))
+            Z[:, cols] = dataset.X_train[:, cols]
+            phi[cols] = px - predict_proba(model, Z).mean()
+        return phi
+
+    def test_exact_shap_is_the_shapley_value_of_p(self):
+        for ds, model in self._cases():
+            n = ds.n_features
+            cfg = ExplainerConfig(shap_background=len(ds.X_train))  # no draw
+            for x in ds.X_test[:3]:
+                e = explain("shap", "probability", model, x, ds, cfg, seed=4)
+                oracle = permutation_shapley(
+                    lambda Z: np.atleast_1d(predict_proba(model, Z)), x, ds.X_train, n)
+                assert e.sample_count == 2**n
+                assert np.max(np.abs(e.phi - oracle)) < 1e-12
+
+    def test_full_permutation_lpi_is_the_mean_drop_of_p(self):
+        cases = list(self._cases())
+        ds = categorical_dataset(seed=3)
+        (group,) = ds.groups
+        assert len(group.indices) == 3
+        cases += [(ds, train_gnb(ds.X_train, ds.y_train)),
+                  (ds, linear_model([0.8, -1.1, 0.4, 1.7, -0.6], 0.2))]
+        for ds, model in cases:
+            for x in ds.X_test[:3]:
+                e = explain("lpi", "probability", model, x, ds, seed=5)
+                assert e.sample_count == len(ds.X_train)
+                assert np.max(np.abs(e.phi - self._direct_lpi(model, x, ds))) < 1e-12
 
 
 def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):

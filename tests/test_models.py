@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from xplain import data
+from xplain import data, models
 from xplain.errors import ConvergenceError, DimensionMismatchError
 from xplain.models import (
     PROBA_CLIP,
@@ -99,10 +99,12 @@ class TestTrainLogistic:
         model = train_logistic(ds.X_train, ds.y_train, search_trials=10, seed=0)
         assert accuracy(model, ds.X_test, ds.y_test) >= 0.95
 
-    def test_no_converged_trial_raises(self):
+    def test_no_converged_trial_raises(self, monkeypatch):
         X, y = noisy_data(seed=1)
-        with pytest.raises(ConvergenceError):
-            train_logistic(X, y, search_trials=3, seed=0, max_iter=1)
+        monkeypatch.setattr(models, "FIT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match=r"^no trial converged within 1 iterations \(3 trials\)$"):
+            train_logistic(X, y, search_trials=3, seed=0)
 
 
 class TestTrainGnb:
@@ -459,7 +461,7 @@ class TestGroundTruthBlock:
 
 
 class TestSerialization:
-    def test_roundtrip(self):
+    def test_roundtrip(self, monkeypatch):
         """The model JSON `xplain train` writes carries every fitted parameter
         and the preprocessing, exactly, through a JSON round trip."""
         rng = np.random.default_rng(2)
@@ -471,12 +473,10 @@ class TestSerialization:
             center=np.array([0.1, 0.2, 0.3]),
             scale=np.array([1.0, 2.0, 3.0]),
         )
-        for model in (
-            fit_logistic(X, y, "l1", 0.5),
-            train_gnb(X, y),
-            # stopped early: not converged, two objective checkpoints
-            fit_logistic(X, y, "l2", 0.1, max_iter=3),
-        ):
+        fitted = (fit_logistic(X, y, "l1", 0.5), train_gnb(X, y))
+        # stopped early: not converged, two objective checkpoints
+        monkeypatch.setattr(models, "FIT_MAX_ITER", 3)
+        for model in (*fitted, fit_logistic(X, y, "l2", 0.1)):
             blob = json.loads(json.dumps(model_to_dict(model, spec), sort_keys=True))
             assert blob["kind"] == model.kind
             fields = (("weights", "intercept", "penalty", "strength", "iterations",
