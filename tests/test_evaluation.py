@@ -228,20 +228,24 @@ class TestEvaluateDataset:
                 assert np.array_equal(row, expected.lam)
                 assert s.ground_truth.offset == expected.offset
 
-    def test_one_pass_matches_single_instances(self):
-        """The cell's 12 instances are evaluated in one pass; every score and
-        ground truth equals the instance's own evaluation as a block of one."""
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_blocks_match_single_instances(self, block):
+        """The cell's 12 instances are evaluated in one pass. evaluate_instance
+        over consecutive blocks of the test split gives every score and ground
+        truth bit for bit: blocks of 1 are each instance's own evaluation, of 5
+        leave a last block of 2, and of 64 are one short block of 12."""
         ds, model, cfg = self.make()
         techniques = ["lime", "shap", "lpi"]
         sets = evaluate_dataset(ds, model, techniques, "probability", cfg, seed=3)
-        for k in range(12):
-            x = ds.X_test[k : k + 1]
-            gt = ground_truth(model, x)
-            scores = evaluate_instance(x, gt.lam, model, techniques, "probability", ds, cfg,
-                                       seeds=[derive_seed(3, k)])
-            assert np.array_equal(sets[0].ground_truth.lam[k], gt.lam[0])
+        for start in range(0, 12, block):
+            stop = min(start + block, 12)
+            X = ds.X_test[start:stop]
+            gt = ground_truth(model, X)
+            scores = evaluate_instance(X, gt.lam, model, techniques, "probability", ds, cfg,
+                                       seeds=[derive_seed(3, k) for k in range(start, stop)])
+            assert np.array_equal(sets[0].ground_truth.lam[start:stop], gt.lam)
             assert sets[0].ground_truth.offset == gt.offset
-            assert [s.scores[k] for s in sets] == [score for (score,) in scores]
+            assert [list(s.scores[start:stop]) for s in sets] == scores
 
     @staticmethod
     def pima():
