@@ -36,10 +36,6 @@ class ConvergenceError(XplainError):
     """No hyperparameter trial converged within the iteration budget."""
 
 
-class DegenerateWeightsError(XplainError):
-    """All perturbation weights collapsed to (numerically) zero."""
-
-
 class UnknownTechniqueError(XplainError):
     """Requested explanation technique is not one of lime/shap/lpi."""
 

@@ -4,11 +4,13 @@ explain() is the one entry point. It targets either the model's log-odds or
 its class-1 probability and, like predict_logodds, takes the model itself (a
 LogisticModel or a GaussianNBModel) and one instance x of shape (n,) with an
 int seed, or a block X of shape (k, n) with k seeds. It checks its
-arguments, fills in the default ExplainerConfig and hands a block to the
-technique's private function, (f, X, seeds, dataset, config) -> (phi,
-sample_count, base_value). Each instance's randomness derives solely from
-its own seed, so results are reproducible and schedule-independent, and
-explaining a block gives exactly the stacked single-instance explanations.
+arguments and the dataset, fills in the default ExplainerConfig and hands a
+block to the technique's private function, (f, X, rngs, dataset, config) ->
+(phi, sample_count, base_value), where rngs yields each instance's random
+stream, default_rng([tag, seed]) with the technique's tag, as the loop
+reaches it. Each instance's randomness derives solely from its own seed, so
+results are reproducible and schedule-independent, and explaining a block
+gives exactly the stacked single-instance explanations.
 One-hot groups are always perturbed atomically (per-column bit flips would
 produce impossible encodings). Rows for the model are built column-major, so
 the scorer works on m rows per numpy operation; solves stay row-major.
@@ -25,12 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    DegenerateWeightsError,
-    DimensionMismatchError,
-    InvalidConfigError,
-    UnknownTechniqueError,
-)
+from .errors import DimensionMismatchError, InvalidConfigError, UnknownTechniqueError
 from .models import Model, predict_logodds, predict_proba
 
 LIME = "lime"
@@ -156,7 +153,7 @@ def _score_call(f, batch: list[np.ndarray]) -> list[np.ndarray]:
     return np.split(f(buffer), ends[:-1])
 
 
-def _lime(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfig):
+def _lime(f, X: np.ndarray, rngs, dataset: Dataset, config: ExplainerConfig):
     """Local ridge surrogate fitted to kernel-weighted perturbations.
 
     Numeric coordinates are resampled from Normal(x_j, train std);
@@ -169,14 +166,11 @@ def _lime(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConf
     call and ridge solve.
     """
     n = dataset.n_features
-    if dataset.X_train.shape[0] == 0:
-        raise ValueError("training split has no rows")
     S = config.lime_samples
     width = 0.75 * math.sqrt(n)
     draws = _lime_draws(dataset)
     phi = np.empty((len(X), n))
-    for i, (row, row_seed) in enumerate(zip(X, seeds)):
-        rng = np.random.default_rng([_RNG_TAG[LIME], row_seed])
+    for i, (row, rng) in enumerate(zip(X, rngs)):
         Z = np.empty((S, n), order="F")
         Z[:] = row
         ZT = Z.T  # one contiguous row per column
@@ -195,11 +189,7 @@ def _lime(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConf
                 Z[np.arange(S), cols[cats]] = 1.0
                 dist[slots] = np.any(ZT[cols] != row[cols, None], axis=0)
         d2 = dist.sum(axis=0)  # slot after slot
-
-        with np.errstate(divide="ignore"):
-            weights = np.exp(-d2 / width**2)
-        if np.max(weights) < 1e-30:
-            raise DegenerateWeightsError("all perturbation weights are numerically zero")
+        weights = np.exp(-d2 / width**2)
         phi[i] = _weighted_ridge(Z, weights, f(Z))
     return phi, S, None
 
@@ -362,7 +352,7 @@ def _sample_coalitions(n: int, samples: int, rng: np.random.Generator):
     return draws[first[order]], counts[order].astype(float)
 
 
-def _shap(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfig):
+def _shap(f, X: np.ndarray, rngs, dataset: Dataset, config: ExplainerConfig):
     """KernelSHAP against a seeded background sample of training rows.
 
     Coalition values marginalize off-coalition features with background rows.
@@ -378,19 +368,14 @@ def _shap(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConf
     calls are shared.
     """
     n = dataset.n_features
-    if n < 1:
-        raise ValueError("model must have at least one feature")
     m = dataset.X_train.shape[0]
-    if m == 0:
-        raise ValueError("empty background: training split has no rows")
     B = min(m, config.shap_background)
     exact = n <= EXACT_SHAP_LIMIT
     # (masks, weights) per instance, queued by rows() before its rows are scored
     pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
 
     def rows():
-        for x, seed in zip(X, seeds):
-            rng = np.random.default_rng([_RNG_TAG[SHAP], seed])
+        for x, rng in zip(X, rngs):
             if m > B:
                 background = dataset.X_train[rng.choice(m, B, replace=False)]
             else:
@@ -421,7 +406,7 @@ def _shap(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConf
     return phi, sample_count, base
 
 
-def _lpi(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfig):
+def _lpi(f, X: np.ndarray, rngs, dataset: Dataset, config: ExplainerConfig):
     """Local permutation importance in the chosen target space.
 
     For each slot (a numeric column or a whole one-hot group), replacement
@@ -432,13 +417,10 @@ def _lpi(f, X: np.ndarray, seeds: list, dataset: Dataset, config: ExplainerConfi
     """
     n = dataset.n_features
     m = dataset.X_train.shape[0]
-    if m == 0:
-        raise ValueError("training split has no rows")
     S = config.lpi_samples if config.lpi_samples is not None else m
 
     def rows():
-        for x, seed in zip(X, seeds):
-            rng = np.random.default_rng([_RNG_TAG[LPI], seed])
+        for x, rng in zip(X, rngs):
             yield x[None, :]
             X_rep = np.empty((S, n), order="F")
             X_rep[:] = x
@@ -486,7 +468,8 @@ def explain(
     x is one instance (n,) with an int seed, or a block (k, n) with one seed
     per instance, and n must be dataset.n_features (DimensionMismatchError
     otherwise); a block's explanation has phi (k, n) and, for SHAP,
-    base_value (k,), each row equal to that instance's own explanation."""
+    base_value (k,), each row equal to that instance's own explanation. A
+    dataset with no feature column or no training row is a ValueError."""
     if technique not in _TECHNIQUE_FNS:
         raise UnknownTechniqueError(
             f"unknown technique {technique!r}; expected one of {TECHNIQUES}"
@@ -501,8 +484,13 @@ def explain(
         return predict_proba(model, Z)
 
     X, seeds = _as_block(x, seed, dataset.n_features)
+    if dataset.n_features == 0:
+        raise ValueError("dataset has no feature column")
+    if dataset.X_train.shape[0] == 0:
+        raise ValueError("training split has no rows")
+    rngs = (np.random.default_rng([_RNG_TAG[technique], s]) for s in seeds)
     phi, sample_count, base = _TECHNIQUE_FNS[technique](
-        f, X, seeds, dataset, config or ExplainerConfig()
+        f, X, rngs, dataset, config or ExplainerConfig()
     )
     if np.ndim(x) == 1:
         return Explanation(phi[0], sample_count, None if base is None else float(base[0]))

@@ -322,6 +322,10 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     n mod 8 terms in order; the reduction adds that result to 0.0, so a row
     of -0.0 sums to +0.0. Above 128 columns numpy splits the row
     recursively, and such rows are summed by np.sum over a row-major copy.
+    np.add.reduce(np.asfortranarray(terms), axis=1) cannot replace the
+    n >= 8 path: a (1, n) batch counts as contiguous, so numpy sums it
+    pairwise, and a row scored alone would differ from the same row in a
+    batch.
     """
     n = terms.shape[1]
     if n < 8:

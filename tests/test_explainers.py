@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xplain import data, explainers
-from xplain.errors import DegenerateWeightsError, DimensionMismatchError, UnknownTechniqueError
+from xplain.errors import DimensionMismatchError, UnknownTechniqueError
 from xplain.evaluation import derive_seed
 from xplain.explainers import (
     TARGET_SPACES,
@@ -157,15 +157,6 @@ class TestLime:
         e = explain("lime", "logodds", model, ds.X_test[0], ds, seed=3)
         assert np.max(np.abs(e.phi)) < 1e-9  # every perturbation is x itself
         assert np.array_equal(e.phi, _reference_lime(model, ds.X_test[0], ds, 5000, seed=3))
-
-    def test_degenerate_weights_error(self, monkeypatch):
-        ds = unit_std_dataset(seed=3)
-        model = linear_model(np.ones(6))
-        cfg = ExplainerConfig(lime_samples=100)
-        # a kernel width of 1e-200, which underflows every weight to zero
-        monkeypatch.setattr(explainers.math, "sqrt", lambda v: 1e-200 / 0.75)
-        with pytest.raises(DegenerateWeightsError):
-            explain("lime", "logodds", model, ds.X_train[0], ds, cfg, seed=1)
 
 
 class TestShap:
@@ -584,6 +575,58 @@ class TestProbabilityOracle:
                 assert np.max(np.abs(e.phi - self._direct_lpi(model, x, ds))) < 1e-12
 
 
+class TestMetamorphicRelations:
+    """Relations an explanation must obey when the model changes in a known
+    way; they check LIME, which has no closed form, and SHAP and LPI without
+    an oracle. Each compares two explanations with the same seeds, scored
+    relative to the largest attribution."""
+
+    CONFIG = ExplainerConfig(lime_samples=1000, shap_background=20, lpi_samples=50)
+
+    @staticmethod
+    def _dataset(name):
+        if name == "categorical":
+            return categorical_dataset()
+        config = data.DatasetConfig.from_json(DATASETS_DIR / f"{name}.json")
+        return data.preprocess_dataset(data.load_dataset(config), "standardize")[0]
+
+    @staticmethod
+    def _relative_error(phi, expected):
+        return np.max(np.abs(phi - expected)) / np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("name", ["pima", "categorical"])
+    def test_lime_is_linear_in_its_target(self, name):
+        """LR with weights a*w and intercept a*b + c has log-odds a*g + c, and
+        the ridge's unpenalized intercept absorbs c: phi scales by a."""
+        ds = self._dataset(name)
+        X = ds.X_test[:20]
+        seeds = list(range(len(X)))
+        model = train_logistic(ds.X_train, ds.y_train, search_trials=3)
+        phi = explain("lime", "logodds", model, X, ds, self.CONFIG, seeds).phi
+        for a, c in [(3, 0.5), (-0.25, 2), (1e3, -7)]:
+            scaled = dataclasses.replace(
+                model, weights=a * model.weights, intercept=a * model.intercept + c)
+            e = explain("lime", "logodds", scaled, X, ds, self.CONFIG, seeds)
+            assert self._relative_error(e.phi, a * phi) <= 1e-9, (a, c)
+
+    @pytest.mark.parametrize("name", ["pima", "categorical"])
+    def test_swapping_gnb_classes_negates_every_explanation(self, name):
+        """Swapping GNB's class statistics negates its log-odds and maps p to
+        1 - p, so every technique's phi negates under either target."""
+        ds = self._dataset(name)
+        X = ds.X_test[:20]
+        seeds = list(range(len(X)))
+        gnb = train_gnb(ds.X_train, ds.y_train)
+        swapped = dataclasses.replace(
+            gnb, mean0=gnb.mean1, mean1=gnb.mean0, var0=gnb.var1, var1=gnb.var0,
+            prior0=gnb.prior1, prior1=gnb.prior0)
+        for technique in TECHNIQUES:
+            for target in TARGET_SPACES:
+                phi = explain(technique, target, gnb, X, ds, self.CONFIG, seeds).phi
+                e = explain(technique, target, swapped, X, ds, self.CONFIG, seeds)
+                assert self._relative_error(e.phi, -phi) <= 1e-9, (technique, target)
+
+
 def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
     """LR and GNB are additive in log-odds, so sampled SHAP over the whole
     training split returns lam_j(x) - mean_train lam_j for any full-rank set
@@ -913,9 +956,14 @@ class TestDispatch:
 
     @pytest.mark.parametrize("technique", TECHNIQUES)
     def test_empty_training_split_is_an_error(self, technique):
-        ds = numeric_dataset(np.empty((0, 3)), X_test=np.ones((2, 3)), y_train=[], y_test=[0, 1])
-        with pytest.raises(ValueError, match="training split has no rows"):
-            explain(technique, "logodds", linear_model([1.0, 2.0, 3.0]), ds.X_test[0], ds, seed=1)
+        no_rows = numeric_dataset(np.empty((0, 3)), X_test=np.ones((2, 3)), y_train=[],
+                                  y_test=[0, 1])
+        no_columns = numeric_dataset(np.ones((4, 0)), X_test=np.ones((2, 0)))
+        for ds, message in [(no_rows, "training split has no rows"),
+                            (no_columns, "dataset has no feature column")]:
+            model = linear_model(np.ones(ds.n_features))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                explain(technique, "logodds", model, ds.X_test[0], ds, seed=1)
 
     def test_unknown_target_space(self):
         ds = numeric_dataset(np.zeros((10, 2)))
