@@ -26,8 +26,8 @@ from .evaluation import (
     evaluate_dataset,
     evaluate_instance,
     rank_techniques,
-    report_set,
     spearman,
+    write_report_set,
 )
 from .explainers import ExplainerConfig, Explanation, explain
 from .models import (

@@ -8,7 +8,6 @@ byte-reproducible for a fixed flag set.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -28,8 +27,9 @@ from .evaluation import (
     derive_seed,
     evaluate_dataset,
     rank_techniques,  # noqa: F401 - unused; perfbench/spans.py patches cli.rank_techniques
-    report_set,
     spearman,
+    write_json,
+    write_report_set,
 )
 from .explainers import TECHNIQUES, ExplainerConfig, explain
 from .models import ground_truth
@@ -133,10 +133,6 @@ def _train(kind: str, dataset, args) -> models_mod.Model:
     return models_mod.train_gnb(dataset.X_train, dataset.y_train)
 
 
-def _json_dump(obj, path: Path):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _print_rank_table(models: dict[str, dict], techniques: list[str]):
     width = max(len(t) for t in techniques) + 2
     print("Average rank by technique (lower is better)")
@@ -224,21 +220,9 @@ def cmd_evaluate(args) -> int:
             print(f"[{name}] {kind}: evaluated {len(techniques)} technique(s)",
                   file=sys.stderr)
 
-    reports, rank_table, box_rows = report_set(
-        cells, PREPROCESS_FLAGS[args.preprocess], args.target, args.seed
+    rank_table = write_report_set(
+        out_dir, cells, PREPROCESS_FLAGS[args.preprocess], args.target, args.seed
     )
-    try:
-        for file_name, report in reports.items():
-            path = out_dir / file_name
-            _json_dump(report, path)
-        path = out_dir / "rank_table.json"
-        _json_dump(rank_table, path)
-        path = out_dir / "box_plot.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(box_rows)
-    except OSError as exc:
-        raise XplainError(f"cannot write {path}: {exc.strerror}") from None
-
     if rank_table["models"]:
         _print_rank_table(rank_table["models"], techniques)
     return 1 if failed else 0
@@ -300,7 +284,7 @@ def cmd_train(args) -> int:
     test_acc = models_mod.accuracy(model, dataset.X_test, dataset.y_test)
     out = Path(args.out) if args.out else Path(f"{dataset.name}_{args.model}.model.json")
     try:
-        _json_dump(models_mod.model_to_dict(model, spec), out)
+        write_json(models_mod.model_to_dict(model, spec), out)
     except OSError as exc:
         raise XplainError(f"cannot write --out {out}: {exc.strerror}") from None
     print(f"dataset={dataset.name} model={args.model} "
@@ -322,10 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "explain":
             return cmd_explain(args)
         return cmd_train(args)
-    except XplainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (XplainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

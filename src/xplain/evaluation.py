@@ -6,18 +6,22 @@ explanation vector and the instance's row of the analytic attributions. A
 once, and each technique explains the whole test split in one explain() call.
 Scores aggregate to a per-dataset median and, across datasets, to
 per-technique average ranks (rank 1 = highest median, lower average rank =
-better). report_set turns an evaluated grid into the report files' contents.
+better). write_report_set writes an evaluated grid's report files one at a
+time, and write_json lays out every JSON file xplain writes.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DimensionMismatchError, VectorTooShortError
+from .errors import DimensionMismatchError, VectorTooShortError, XplainError
 from .explainers import ExplainerConfig, explain
 from .models import GaussianNBModel, GroundTruth, LogisticModel, Model, ground_truth
 
@@ -236,50 +240,65 @@ def _score_set_dict(s: DatasetScoreSet) -> dict:
     }
 
 
-def report_set(
+def write_json(obj, path: Path) -> None:
+    """Writes obj as every xplain JSON file is laid out: indent 2, sorted
+    keys, a final newline."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_report_set(
+    out_dir: Path,
     cells: Sequence[tuple[Dataset, str, list[DatasetScoreSet]]],
     preprocess: str,
     target_space: str,
     seed: int,
-) -> tuple[dict[str, dict], dict, list[list]]:
-    """The report files of an evaluated grid. Each cell is (dataset, model kind,
-    evaluate_dataset's score sets for it); every cell holds the same techniques
-    in the same order, and no (dataset, model) repeats. Returns the reports keyed
-    by file name, the rank_table.json payload and the box_plot.csv rows, header
-    first. Rank tables and box rows list models in the order lr, gnb."""
+) -> dict:
+    """Writes an evaluated grid's report files into the existing directory
+    out_dir and returns the rank_table.json payload. Each cell is (dataset,
+    model kind, evaluate_dataset's score sets for it), all with the same
+    techniques in one order, and no (dataset, model) repeats. Each cell's
+    report is built and written before the next; rank_table.json and
+    box_plot.csv follow, listing lr before gnb. An unwritable file is an XplainError."""
     by_kind: dict[str, list[DatasetScoreSet]] = {
         LogisticModel.kind: [], GaussianNBModel.kind: []}
     for _, kind, sets in cells:
         by_kind[kind].extend(sets)
     tables = {kind: rank_techniques(sets) for kind, sets in by_kind.items() if sets}
     run = {"preprocess": preprocess, "target_space": target_space, "seed": seed}
-
-    reports = {}
-    for dataset, kind, sets in cells:
-        name = dataset.name
-        truth = sets[0].ground_truth
-        reports[f"{name}__{kind}.report.json"] = {
-            **run,
-            "dataset": name,
-            "model": kind,
-            "feature_names": list(dataset.feature_names),
-            "test_instances": int(dataset.X_test.shape[0]),
-            "per_technique": {s.technique: _score_set_dict(s) for s in sets},
-            "ranks": tables[kind].per_dataset[name],
-            "average_ranks": tables[kind].average,
-            "ground_truth": [
-                {"instance": k, "offset": truth.offset,
-                 "values": [{"feature": f, "value": float(v)}
-                            for f, v in zip(dataset.feature_names, row)]}
-                for k, row in enumerate(truth.lam)
-            ],
-        }
     rank_table = {**run, "models": {
         kind: {"per_dataset": t.per_dataset, "average_ranks": t.average, "std_ranks": t.std}
         for kind, t in tables.items()
     }}
-    box_rows: list[list] = [["dataset", "model", "technique", "instance", "r"]]
-    box_rows += [[s.dataset_id, kind, s.technique, k, repr(score.r)]
-                 for kind, sets in by_kind.items()
-                 for s in sets for k, score in enumerate(s.scores)]
-    return reports, rank_table, box_rows
+    try:
+        for dataset, kind, sets in cells:
+            name = dataset.name
+            truth = sets[0].ground_truth
+            path = out_dir / f"{name}__{kind}.report.json"
+            write_json({
+                **run,
+                "dataset": name,
+                "model": kind,
+                "feature_names": list(dataset.feature_names),
+                "test_instances": int(dataset.X_test.shape[0]),
+                "per_technique": {s.technique: _score_set_dict(s) for s in sets},
+                "ranks": tables[kind].per_dataset[name],
+                "average_ranks": tables[kind].average,
+                "ground_truth": [
+                    {"instance": k, "offset": truth.offset,
+                     "values": [{"feature": f, "value": float(v)}
+                                for f, v in zip(dataset.feature_names, row)]}
+                    for k, row in enumerate(truth.lam)
+                ],
+            }, path)
+        path = out_dir / "rank_table.json"
+        write_json(rank_table, path)
+        path = out_dir / "box_plot.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dataset", "model", "technique", "instance", "r"])
+            writer.writerows([s.dataset_id, kind, s.technique, k, repr(score.r)]
+                             for kind, sets in by_kind.items()
+                             for s in sets for k, score in enumerate(s.scores))
+    except OSError as exc:
+        raise XplainError(f"cannot write {path}: {exc.strerror}") from None
+    return rank_table

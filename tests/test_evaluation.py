@@ -1,8 +1,8 @@
 import csv
 import dataclasses
-import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ from xplain.evaluation import (
     evaluate_instance,
     fractional_ranks,
     rank_techniques,
-    report_set,
     spearman,
     summarize_scores,
+    write_report_set,
 )
 from xplain.explainers import ExplainerConfig
 from xplain.models import ground_truth
@@ -401,10 +401,15 @@ def small_cell(name: str, kind: str, m: int):
     return ds, kind, evaluate_dataset(ds, model, ["lime", "lpi"], "logodds", cfg, seed=2)
 
 
+def read_box_rows(out_dir):
+    with open(out_dir / "box_plot.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 class TestReportSet:
     def test_matches_cli_files_byte_for_byte(self, tmp_path):
-        """On evaluate_dataset's results under criterion 9's flags, report_set's
-        output, dumped as the CLI dumps it, equals the CLI's files."""
+        """On evaluate_dataset's results under criterion 9's flags,
+        write_report_set writes the CLI's files, byte for byte."""
         names = ["iris_binary", "haberman"]
         techniques = ["lime", "shap", "lpi"]
         out = tmp_path / "out"
@@ -427,45 +432,76 @@ class TestReportSet:
                     model = train_gnb(ds.X_train, ds.y_train)
                 sets = evaluate_dataset(ds, model, techniques, "logodds", cfg, seed=7)
                 cells.append((ds, kind, sets))
-        reports, rank_table, box_rows = report_set(cells, "standardize", "logodds", 7)
+        library = tmp_path / "library"
+        library.mkdir()
+        rank_table = write_report_set(library, cells, "standardize", "logodds", 7)
 
-        def dump(obj):
-            return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
-
-        box = io.StringIO()
-        csv.writer(box).writerows(box_rows)
-        expected = {name: dump(report) for name, report in reports.items()}
-        expected["rank_table.json"] = dump(rank_table)
-        expected["box_plot.csv"] = box.getvalue().encode()
+        expected = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(expected) == 6
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+        assert {p.name: p.read_bytes() for p in library.iterdir()} == expected
+        assert rank_table == json.loads(expected["rank_table.json"])
 
-    def test_box_rows_number_instances_per_cell(self):
+    def test_box_rows_number_instances_per_cell(self, tmp_path):
         cells = [small_cell("a", "gnb", 7), small_cell("b", "gnb", 5)]
-        _, _, (header, *rows) = report_set(cells, "standardize", "logodds", 2)
+        write_report_set(tmp_path, cells, "standardize", "logodds", 2)
+        header, *rows = read_box_rows(tmp_path)
         assert header == ["dataset", "model", "technique", "instance", "r"]
         for dataset, m in [("a", 7), ("b", 5)]:
             for technique in ("lime", "lpi"):
-                assert [row[3] for row in rows
+                assert [int(row[3]) for row in rows
                         if row[0] == dataset and row[2] == technique] == list(range(m))
         assert len(rows) == 2 * (7 + 5)
 
-    def test_models_ordered_lr_then_gnb_when_lr_fails_first(self):
+    def test_models_ordered_lr_then_gnb_when_lr_fails_first(self, tmp_path):
         """Dataset a has no lr cell, as when its lr fit failed; tables and box
         rows still list lr first, and each report's ranks are its model's
         table row for its dataset."""
         cells = [small_cell("a", "gnb", 4), small_cell("b", "lr", 3), small_cell("b", "gnb", 3)]
-        reports, rank_table, (_, *rows) = report_set(cells, "standardize", "logodds", 2)
-        assert list(reports) == ["a__gnb.report.json", "b__lr.report.json",
-                                 "b__gnb.report.json"]
+        rank_table = write_report_set(tmp_path, cells, "standardize", "logodds", 2)
+        _, *rows = read_box_rows(tmp_path)
+        reports = sorted(tmp_path.glob("*.report.json"))
+        assert [p.name for p in reports] == ["a__gnb.report.json", "b__gnb.report.json",
+                                             "b__lr.report.json"]
+        assert rank_table == json.loads((tmp_path / "rank_table.json").read_text())
         assert list(rank_table["models"]) == ["lr", "gnb"]
         assert [(row[0], row[1]) for row in rows] == (
             [("b", "lr")] * 6 + [("a", "gnb")] * 8 + [("b", "gnb")] * 6)
         assert list(rank_table["models"]["lr"]["per_dataset"]) == ["b"]
-        for report in reports.values():
+        for path in reports:
+            report = json.loads(path.read_text())
             table = rank_table["models"][report["model"]]
             assert report["ranks"] == table["per_dataset"][report["dataset"]]
             assert report["average_ranks"] == table["average_ranks"]
+
+    def test_one_report_alive_at_a_time(self, tmp_path):
+        """Each report is built and written before the next, so writing 8
+        cells peaks at about the memory of writing 1 (a writer that held every
+        report at once measured 3.0x)."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(0, 1, (300, 6))
+        y = (X[:, 0] + rng.normal(0, 1, 300) > 0).astype(int)
+        ds = numeric_dataset(X[:100], X_test=X[100:], y_train=y[:100], y_test=y[100:])
+        cfg = ExplainerConfig(lime_samples=50, lpi_samples=10)
+        sets = evaluate_dataset(ds, train_gnb(ds.X_train, ds.y_train), ["lime", "lpi"],
+                                "logodds", cfg, seed=1)
+        cells = []
+        for i in range(8):
+            name = f"copy{i}"
+            cells.append((dataclasses.replace(ds, name=name), "gnb",
+                          [dataclasses.replace(s, dataset_id=name) for s in sets]))
+
+        def peak(cells, out):
+            out.mkdir()
+            tracemalloc.start()
+            try:
+                write_report_set(out, cells, "standardize", "logodds", 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(cells[:1], tmp_path / "one")
+        eight = peak(cells, tmp_path / "eight")
+        assert eight <= 1.2 * one, (one, eight)
 
 
 def test_derive_seed_deterministic():
