@@ -82,29 +82,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _nll(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray) -> float:
-    z = X @ w + b
-    s = np.where(y == 1, z, -z)
-    return float(np.sum(np.logaddexp(0.0, -s)))
-
-
-def _smooth_value(w, b, X, y, penalty, strength):
-    val = _nll(w, b, X, y)
-    if penalty == "l2":
-        val += 0.5 * strength * float(w @ w)
-    return val
-
-
-def _smooth_grad(w, b, X, y, penalty, strength):
-    z = X @ w + b
-    r = _sigmoid(z) - y
-    gw = X.T @ r
-    gb = float(np.sum(r))
-    if penalty == "l2":
-        gw = gw + strength * w
-    return gw, gb
-
-
 def _soft_threshold(u: np.ndarray, t: float) -> np.ndarray:
     return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
 
@@ -121,23 +98,36 @@ def fit_logistic(
     enters through the soft-threshold prox. Backtracking line search halves
     the step until the quadratic upper bound holds, which makes the full
     objective non-increasing across iterations. The intercept is never
-    penalized.
+    penalized. Each point the fit evaluates has its margins X @ w + b
+    computed once: the accepted trial's margins serve the next gradient.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    m, n = X.shape
-    w = np.zeros(n)
-    b = 0.0
+    sign = np.where(y == 1, 1.0, -1.0)  # the label's sign; sign * z is exact
     l1 = strength if penalty == "l1" else 0.0
 
-    g_val = _smooth_value(w, b, X, y, penalty, strength)
+    def smooth(w, b):
+        """(smooth objective, margins z) at (w, b)."""
+        z = X @ w + b
+        val = float(np.sum(np.logaddexp(0.0, -(sign * z))))
+        if penalty == "l2":
+            val += 0.5 * strength * float(w @ w)
+        return val, z
+
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    g_val, z = smooth(w, b)
     obj = g_val + l1 * float(np.sum(np.abs(w)))
     checkpoints = [obj]
     step = 1.0
     converged = False
     it = 0
     for it in range(1, FIT_MAX_ITER + 1):
-        gw, gb = _smooth_grad(w, b, X, y, penalty, strength)
+        r = _sigmoid(z) - y
+        gw = X.T @ r
+        gb = float(np.sum(r))
+        if penalty == "l2":
+            gw = gw + strength * w
         step = min(step * 2.0, 1e6)
         while True:
             w_new = w - step * gw
@@ -152,14 +142,14 @@ def fit_logistic(
                 + gb * db
                 + (float(dw @ dw) + db * db) / (2.0 * step)
             )
-            new_val = _smooth_value(w_new, b_new, X, y, penalty, strength)
+            new_val, new_z = smooth(w_new, b_new)
             if new_val <= bound + 1e-15:
                 break
             step *= 0.5
             if step < 1e-12:
                 break
-        # the accepted trial's smooth value is the next iteration's g_val
-        w, b, g_val = w_new, b_new, new_val
+        # the accepted trial's value and margins serve the next iteration
+        w, b, g_val, z = w_new, b_new, new_val, new_z
         new_obj = g_val + l1 * float(np.sum(np.abs(w)))
         if it % 100 == 0:
             checkpoints.append(new_obj)
@@ -203,7 +193,7 @@ def train_logistic(
     X_fit, y_fit = X[fit_idx], y[fit_idx]
     X_val, y_val = X[val_idx], y[val_idx]
 
-    best = None  # (accuracy, trial_index, penalty, strength)
+    best = None  # (accuracy, penalty, strength)
     for t in range(search_trials):
         rng = np.random.default_rng([seed, t + 1])
         penalty = "l1" if rng.integers(2) == 0 else "l2"
@@ -213,12 +203,12 @@ def train_logistic(
             continue
         acc = accuracy(model, X_val, y_val)
         if best is None or acc > best[0]:
-            best = (acc, t, penalty, strength)
+            best = (acc, penalty, strength)
     if best is None:
         raise ConvergenceError(
             f"no trial converged within {FIT_MAX_ITER} iterations ({search_trials} trials)"
         )
-    return fit_logistic(X, y, best[2], best[3])
+    return fit_logistic(X, y, best[1], best[2])
 
 
 def train_gnb(X: np.ndarray, y: np.ndarray) -> GaussianNBModel:
