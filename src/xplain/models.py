@@ -100,7 +100,15 @@ def fit_logistic(
     objective non-increasing across iterations. The intercept is never
     penalized. Each point the fit evaluates has its margins X @ w + b
     computed once: the accepted trial's margins serve the next gradient.
+    A penalty other than "l1" or "l2", or a strength that is negative or not
+    finite, raises InvalidConfigError.
     """
+    if penalty not in ("l1", "l2"):
+        raise InvalidConfigError(f"penalty must be 'l1' or 'l2', got {penalty!r}")
+    if not 0.0 <= strength < np.inf:
+        raise InvalidConfigError(
+            f"penalty strength must be finite and >= 0, got {strength!r}"
+        )
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     sign = np.where(y == 1, 1.0, -1.0)  # the label's sign; sign * z is exact
