@@ -82,21 +82,56 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore:
-    """Spearman rank correlation with fractional ranks for ties.
+def _block_ranks(values: np.ndarray) -> np.ndarray:
+    """fractional_ranks of each row of a (k, n) block, from one stable argsort:
+    each sorted position takes the mean position of its run of equal values."""
+    k, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    pos = np.arange(n)
+    new_run = np.ones((k, n), dtype=bool)
+    new_run[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    run_end = np.ones((k, n), dtype=bool)
+    run_end[:, :-1] = new_run[:, 1:]
+    first = np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(run_end, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((k, n))
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=1)
+    return ranks
+
+
+def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore | list[CorrelationScore]:
+    """Spearman rank correlation with fractional ranks for ties: one score for
+    two vectors (n,), or a list of k, one per row, for two blocks (k, n).
 
     A rank-constant vector on either side yields r = 0 with the degenerate
     flag set instead of a division by zero. A NaN or infinity on either side
-    raises ValueError: NaNs have no rank order.
+    raises ValueError: NaNs have no rank order. Shapes that differ raise
+    DimensionMismatchError, and n < 2 raises VectorTooShortError.
+
+    A block's scores equal the per-row scores bit for bit: every rank is a
+    multiple of 0.5 and a row's mean rank is exactly (n + 1) / 2, so every
+    deviation, product and sum in the correlation is exact in float64
+    whatever the order of the sums.
     """
     phi = np.asarray(phi, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if phi.shape != lam.shape:
         raise DimensionMismatchError(f"length mismatch: {phi.shape} vs {lam.shape}")
-    if phi.ndim != 1 or len(phi) < 2:
+    if phi.ndim not in (1, 2) or phi.shape[-1] < 2:
         raise VectorTooShortError(f"need vectors of length >= 2, got {phi.shape}")
     if not (np.isfinite(phi).all() and np.isfinite(lam).all()):
         raise ValueError("spearman input contains non-finite values")
+    if phi.ndim == 2:
+        mean = 0.5 * (phi.shape[1] + 1)
+        da = _block_ranks(phi) - mean
+        db = _block_ranks(lam) - mean
+        va = (da * da).sum(axis=1)
+        vb = (db * db).sum(axis=1)
+        degenerate = (va == 0.0) | (vb == 0.0)
+        r = (da * db).sum(axis=1) / np.sqrt(np.where(degenerate, 1.0, va * vb))
+        return [CorrelationScore(r=0.0, degenerate=True) if d else CorrelationScore(r=float(x))
+                for x, d in zip(r, degenerate)]
     ra = fractional_ranks(phi)
     rb = fractional_ranks(lam)
     da = ra - ra.mean()
@@ -130,11 +165,12 @@ def evaluate_instance(
     (k, n): per technique (in order), the Spearman score of each instance's
     explanation against its row. Each technique explains the whole block in
     one explain() call, which raises DimensionMismatchError for an X that is
-    not such a block; evaluate_dataset passes a cell's whole test split."""
+    not such a block, and its explanations are scored in one block spearman()
+    call; evaluate_dataset passes a cell's whole test split."""
     scores = []
     for technique in techniques:
         phi = explain(technique, target_space, model, X, dataset, config, seeds).phi
-        scores.append([spearman(p, row) for p, row in zip(phi, lam, strict=True)])
+        scores.append(spearman(phi, lam))
     return scores
 
 

@@ -109,6 +109,41 @@ class TestSpearman:
     def test_non_finite_input_rejected(self, phi, lam):
         with pytest.raises(ValueError, match="non-finite"):
             spearman(phi, lam)
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman([[1.0, 2.0, 3.0], phi], [[3.0, 1.0, 2.0], lam])
+
+    def test_block_equals_rows(self):
+        """A block's scores equal the per-row scores bit for bit, with ties,
+        -0.0 tied with 0.0, rank-constant rows on either side and n = 2."""
+        rng = np.random.default_rng(6)
+        for n in range(2, 20):
+            for _ in range(4):
+                phi = np.round(rng.normal(0, 1, (64, n)), int(rng.integers(0, 3)))
+                lam = np.round(rng.normal(0, 1, (64, n)), int(rng.integers(0, 3)))
+                phi[::5] = 2.5  # constant on the phi side
+                lam[::7] = -1.0  # constant on the lam side
+                phi[1::6, : n // 2] = -0.0
+                phi[1::6, n // 2 :] = 0.0
+                lam[2::9, 0] = -0.0
+                lam[2::9, -1] = 0.0
+                block = spearman(phi, lam)
+                rows = [spearman(p, q) for p, q in zip(phi, lam)]
+                assert np.array_equal([s.r for s in block], [s.r for s in rows])
+                assert [s.degenerate for s in block] == [s.degenerate for s in rows]
+                assert any(s.degenerate for s in rows) and not all(s.degenerate for s in rows)
+        # -0.0 and 0.0 share their rank: rank-constant, as the 1-D form says
+        (score,) = spearman([[-0.0, 0.0]], [[1.0, 2.0]])
+        assert score.degenerate and spearman([-0.0, 0.0], [1.0, 2.0]).degenerate
+
+    def test_block_errors(self):
+        with pytest.raises(DimensionMismatchError):
+            spearman(np.zeros((3, 4)), np.zeros((3, 5)))
+        with pytest.raises(DimensionMismatchError):
+            spearman(np.zeros((3, 4)), np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatchError):
+            spearman(np.zeros((1, 4)), np.zeros(4))
+        with pytest.raises(VectorTooShortError):
+            spearman(np.zeros((3, 1)), np.zeros((3, 1)))
 
 
 def test_fractional_ranks_ties():
@@ -257,12 +292,9 @@ class TestEvaluateDataset:
         return ds, model, ExplainerConfig(lime_samples=1000, lpi_samples=128)
 
     def test_model_calls_packed(self, monkeypatch):
-        """pima under the local-probability benchmark flags: one instance at a
-        time took 192 LIME calls and 192 * 9 LPI calls, 1,920 in all. LPI's
-        one explain() call over the whole test split packs its f(x) rows and
-        128-row pieces, 196,800 rows, into 50 calls of at most _BLOCK_ROWS
-        rows, each closed when the next piece would overflow it; each
-        1,000-row LIME piece, larger than _PACK_ROWS, is still scored alone.
+        """pima under the local-probability benchmark flags: LIME scores each
+        instance's 1,000 rows in a call of its own, and LPI each instance's
+        f(x) row and its 8 slots' 128-row pieces, 1,025 rows, in one call.
         The rows scored do not change."""
         ds, model, cfg = self.pima()
         sizes = []
@@ -277,7 +309,7 @@ class TestEvaluateDataset:
         assert sum(sizes) == 192 * (1000 + 1 + 8 * 128)
         assert max(sizes) <= explainers._BLOCK_ROWS
         assert sizes.count(1000) == 192
-        assert len(sizes) == 192 + 50
+        assert sizes == [1000] * 192 + [1 + 8 * 128] * 192
 
     def test_wide_mixed_block_size_independent(self, tmp_path):
         """One-hot groups and sampled KernelSHAP: the cell's one pass gives

@@ -32,6 +32,10 @@ from conftest import (
 )
 
 
+# the most rows of one LPI model call
+CAP = explainers._LPI_CALL_ROWS
+
+
 def unit_std_dataset(n=6, m=500, seed=0):
     """Training matrix with exactly unit sample std and zero mean per column."""
     rng = np.random.default_rng(seed)
@@ -680,6 +684,7 @@ class TestBlocks:
             assert np.array_equal(block.base_value, [e.base_value for e in singles])
         else:
             assert block.base_value is None
+        return block
 
     @pytest.mark.parametrize("name", ["iris_binary", "categorical", "wide-mixed"])
     def test_block_equals_stacked_singles(self, name, tmp_path):
@@ -742,8 +747,58 @@ class TestBlocks:
         self._assert_block_is_stacked_singles("lpi", "logodds", model, ds.X_test[:3], ds, cfg,
                                               [7, 8, 9])
         # the block's calls, then the three single-instance ones: per
-        # instance its f(x) row, then each of its three slots alone
-        assert sizes == [1, S, S, S] * 6
+        # instance its f(x) row with its first slot, then each other slot
+        # alone, since two slots' rows exceed _LPI_CALL_ROWS
+        assert sizes == [1 + S, S, S] * 6
+
+    @pytest.mark.parametrize("S,calls", [
+        # two whole slots per call; the first call also holds f(x)'s row
+        pytest.param(CAP // 3 + 1, [1 + 2 * (CAP // 3 + 1), 2 * (CAP // 3 + 1), CAP // 3 + 1],
+                     id="two-slots-per-call"),
+        # one slot alone exceeds the cap, so each call holds one slot
+        pytest.param(CAP + 1, [CAP + 2] + [CAP + 1] * 4, id="one-slot-over-cap"),
+    ])
+    def test_lpi_calls_hold_whole_slots_within_cap(self, S, calls, monkeypatch):
+        """An instance whose rows exceed _LPI_CALL_ROWS is scored in calls of
+        whole slots, within the cap unless one slot alone exceeds it, with
+        the explanation of one call per instance."""
+        rng = np.random.default_rng(8)
+        ds = numeric_dataset(rng.normal(0, 1, (60, 5)))
+        model = linear_model([0.5, -1.0, 2.0, 0.0, 1.5])
+        X, seeds = ds.X_test[:2], [3, 4]
+        sizes = []
+
+        def spy(scorer):
+            def f(model, X):
+                sizes.append(len(X))
+                return scorer(model, X)
+            return f
+
+        for absolute in (False, True):
+            cfg = ExplainerConfig(lpi_samples=S, lpi_absolute=absolute)
+            for target in TARGET_SPACES:
+                monkeypatch.setattr(explainers, "_LPI_CALL_ROWS", 1 << 20)
+                whole = explain("lpi", target, model, X, ds, cfg, seeds)
+                monkeypatch.undo()
+                monkeypatch.setattr(explainers, "predict_logodds", spy(predict_logodds))
+                monkeypatch.setattr(explainers, "predict_proba", spy(predict_proba))
+                sizes.clear()
+                block = self._assert_block_is_stacked_singles(
+                    "lpi", target, model, X, ds, cfg, seeds)
+                monkeypatch.undo()
+                # the block's two instances, then the two single-instance calls
+                assert sizes == calls * 4
+                assert np.array_equal(block.phi, whole.phi)
+
+    def test_lpi_bundled_instances_fit_one_call(self, tmp_path):
+        """Every instance of every bundled dataset and of wide-mixed is scored
+        in one LPI call at the default (full-permutation) sample count."""
+        datasets = [data.load_dataset(data.DatasetConfig.from_json(path))
+                    for path in sorted(DATASETS_DIR.glob("*.json"))]
+        datasets.append(wide_mixed_dataset(tmp_path))
+        assert len(datasets) == 7
+        for ds in datasets:
+            assert 1 + len(ds.slots) * len(ds.X_train) <= explainers._LPI_CALL_ROWS, ds.name
 
     @pytest.mark.parametrize("x_rows,seed", [(3, [1, 2]), (3, 1), (None, [1]), (0, [])])
     def test_seed_count_must_match_block(self, x_rows, seed):
@@ -779,7 +834,8 @@ class TestLayout:
         monkeypatch.setattr(explainers, "predict_logodds", spy)
         for name in ("iris_binary", "categorical", "wide-mixed"):
             ds, cfg, (lr, _) = TestBlocks._case(name, tmp_path)
-            # pieces packed into calls, then LPI pieces and SHAP backgrounds scored alone
+            # SHAP pieces packed into calls, then SHAP backgrounds scored alone;
+            # LPI makes one call per instance at both sizes
             for size in (90, explainers._PACK_ROWS + 1):
                 cfg = dataclasses.replace(cfg, lpi_samples=size,
                                           shap_samples=300, shap_background=size)
