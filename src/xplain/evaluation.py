@@ -67,24 +67,10 @@ class RankTable:
     std: dict[str, float]
 
 
-def fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties receiving the average of their positions."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def _block_ranks(values: np.ndarray) -> np.ndarray:
-    """fractional_ranks of each row of a (k, n) block, from one stable argsort:
-    each sorted position takes the mean position of its run of equal values."""
+    """1-based ranks of each row of a (k, n) block, ties receiving the average
+    of their positions, from one stable argsort: each sorted position takes
+    the mean position of its run of equal values."""
     k, n = values.shape
     order = np.argsort(values, axis=1, kind="stable")
     ordered = np.take_along_axis(values, order, axis=1)
@@ -109,10 +95,10 @@ def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore | list[Correl
     raises ValueError: NaNs have no rank order. Shapes that differ raise
     DimensionMismatchError, and n < 2 raises VectorTooShortError.
 
-    A block's scores equal the per-row scores bit for bit: every rank is a
-    multiple of 0.5 and a row's mean rank is exactly (n + 1) / 2, so every
-    deviation, product and sum in the correlation is exact in float64
-    whatever the order of the sums.
+    Two vectors are scored as a block of one row. A block's scores equal the
+    per-row scores bit for bit: every rank is a multiple of 0.5 and a row's
+    mean rank is exactly (n + 1) / 2, so every deviation, product and sum in
+    the correlation is exact in float64 whatever the order of the sums.
     """
     phi = np.asarray(phi, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -122,26 +108,19 @@ def spearman(phi: np.ndarray, lam: np.ndarray) -> CorrelationScore | list[Correl
         raise VectorTooShortError(f"need vectors of length >= 2, got {phi.shape}")
     if not (np.isfinite(phi).all() and np.isfinite(lam).all()):
         raise ValueError("spearman input contains non-finite values")
-    if phi.ndim == 2:
-        mean = 0.5 * (phi.shape[1] + 1)
-        da = _block_ranks(phi) - mean
-        db = _block_ranks(lam) - mean
-        va = (da * da).sum(axis=1)
-        vb = (db * db).sum(axis=1)
-        degenerate = (va == 0.0) | (vb == 0.0)
-        r = (da * db).sum(axis=1) / np.sqrt(np.where(degenerate, 1.0, va * vb))
-        return [CorrelationScore(r=0.0, degenerate=True) if d else CorrelationScore(r=float(x))
-                for x, d in zip(r, degenerate)]
-    ra = fractional_ranks(phi)
-    rb = fractional_ranks(lam)
-    da = ra - ra.mean()
-    db = rb - rb.mean()
-    va = float(da @ da)
-    vb = float(db @ db)
-    if va == 0.0 or vb == 0.0:
-        return CorrelationScore(r=0.0, degenerate=True)
-    r = float(da @ db) / float(np.sqrt(va * vb))
-    return CorrelationScore(r=r, degenerate=False)
+    block = phi.ndim == 2
+    if not block:
+        phi, lam = phi[None], lam[None]
+    mean = 0.5 * (phi.shape[1] + 1)
+    da = _block_ranks(phi) - mean
+    db = _block_ranks(lam) - mean
+    va = (da * da).sum(axis=1)
+    vb = (db * db).sum(axis=1)
+    degenerate = (va == 0.0) | (vb == 0.0)
+    r = (da * db).sum(axis=1) / np.sqrt(np.where(degenerate, 1.0, va * vb))
+    scores = [CorrelationScore(r=0.0, degenerate=True) if d else CorrelationScore(r=float(x))
+              for x, d in zip(r, degenerate)]
+    return scores if block else scores[0]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -211,9 +190,9 @@ def evaluate_dataset(
     """Evaluates the test split under one model (a LogisticModel or a
     GaussianNBModel) in one pass: the ground truth of the whole split,
     extracted in one call, then one evaluate_instance call over the whole
-    split. Instance k uses the seed derived from (seed, k), and every
-    explainer scores each instance on its own, so a score does not depend on
-    which instances share its call. Returns one score set per technique, in
+    split. Instance k uses the seed derived from (seed, k), and no model
+    call holds the rows of two instances, so a score does not depend on
+    which instances share the pass. Returns one score set per technique, in
     the order given, each carrying that ground truth."""
     m = dataset.X_test.shape[0]
     if m == 0:
@@ -246,7 +225,7 @@ def rank_techniques(score_sets: list[DatasetScoreSet]) -> RankTable:
     per_dataset: dict[str, dict[str, float]] = {}
     for d in datasets:
         medians = np.array([round(cells[(d, t)], MEDIAN_TIE_DIGITS) for t in techniques])
-        ranks = fractional_ranks(-medians)
+        ranks = _block_ranks(-medians[None])[0]
         per_dataset[d] = {t: float(r) for t, r in zip(techniques, ranks)}
 
     average = {}

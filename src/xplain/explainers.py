@@ -12,14 +12,17 @@ reaches it. Each instance's randomness derives solely from its own seed, so
 results are reproducible and schedule-independent, and explaining a block
 gives exactly the stacked single-instance explanations.
 One-hot groups are always perturbed atomically (per-column bit flips would
-produce impossible encodings). Rows for the model are built column-major, so
-the scorer works on m rows per numpy operation; solves stay row-major.
+produce impossible encodings). Every model call holds the rows of one
+instance: LIME's perturbations, or LPI's and KernelSHAP's rows built in place
+in one buffer, split into calls of whole slots or whole coalitions past a
+per-call cap (_LPI_CALL_ROWS, _BLOCK_ROWS). Rows for the model are built
+column-major, so the scorer works on m rows per numpy operation; solves stay
+row-major.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,9 +45,9 @@ TARGET_SPACES = (LOGODDS, PROBABILITY)
 # all 2^n coalitions are enumerated up to this dimension; sampling above it
 EXACT_SHAP_LIMIT = 13
 
-# rows per model call, and the largest piece that shares a call (see _score_packed)
+# the most rows of one KernelSHAP model call, unless x and the background or
+# one coalition alone have more (see _shap)
 _BLOCK_ROWS = 4096
-_PACK_ROWS = 256
 # the most rows of one LPI model call, unless one slot alone has more (see _lpi)
 _LPI_CALL_ROWS = 8192
 
@@ -105,53 +108,6 @@ def _as_block(x, seed, n: int) -> tuple[np.ndarray, list]:
             f"x has {X.shape[1]} feature(s) per instance, the dataset has {n}"
         )
     return X, seeds
-
-
-def _score_packed(f, pieces):
-    """f of each piece of rows (a 2-D array), yielded in the order given.
-    SHAP scores its rows through it; LIME's S-row piece per instance is one
-    call of its own, and LPI builds each instance's call in place (_lpi).
-
-    A piece of at most _PACK_ROWS rows costs less to score than a call's
-    fixed cost (12-17 us, about as much as scoring 300 rows), so consecutive
-    such pieces, of one instance or of several, share calls of at most
-    _BLOCK_ROWS rows. A larger piece is scored alone as soon as it is
-    drawn, while its rows are still in cache: a shared call saved it less
-    than holding it for the next piece and copying it into the call cost.
-    Pieces are drawn only as a call fills, so at most one call's pieces,
-    its buffer and one more piece are held at a time.
-
-    4,096 rows of 19 columns take about 620 KB, so a call's rows and the
-    scorer's temporary of the same size fit in a 2 MB per-core L2 cache;
-    calls of 2,048-8,192 rows timed about level and fastest, while
-    262,144-row calls (about 40 MB at 19 columns) were up to twice as slow.
-    Every row is scored alone, so packing changes no value.
-    """
-    batch: list[np.ndarray] = []
-    rows = 0
-    for piece in pieces:
-        alone = len(piece) > _PACK_ROWS
-        if batch and (alone or rows + len(piece) > _BLOCK_ROWS):
-            scored = _score_call(f, batch)
-            batch, rows = [], 0
-            yield from scored
-        if alone:
-            yield f(piece)
-        else:
-            batch.append(piece)
-            rows += len(piece)
-    if batch:
-        yield from _score_call(f, batch)
-
-
-def _score_call(f, batch: list[np.ndarray]) -> list[np.ndarray]:
-    """One model call over the pieces in batch, copied one after another into
-    a column-major buffer, split back per piece."""
-    ends = np.cumsum([len(p) for p in batch])
-    buffer = np.empty((ends[-1], batch[0].shape[1]), order="F")
-    for piece, end in zip(batch, ends):
-        buffer[end - len(piece) : end] = piece
-    return np.split(f(buffer), ends[:-1])
 
 
 def _lime(f, X: np.ndarray, rngs, dataset: Dataset, config: ExplainerConfig):
@@ -242,32 +198,6 @@ def _weighted_ridge(Z: np.ndarray, weights: np.ndarray, y: np.ndarray) -> np.nda
     penal = np.eye(A.shape[1])
     penal[0, 0] = 0.0
     return np.linalg.solve(gram + penal, Aw.T @ y)[1:]
-
-
-def _coalition_rows(masks: np.ndarray, x: np.ndarray, background: np.ndarray):
-    """The rows valuing each coalition: x on S, background rows off S. They
-    come in pieces of whole coalitions, at most _BLOCK_ROWS rows each (one
-    coalition when the background has more rows)."""
-    B = background.shape[0]
-    chunk = max(1, _BLOCK_ROWS // B)
-    # built transposed, one contiguous row per column, from operands of one
-    # shape: row k * B + b of a full piece takes background row b off S
-    back = np.tile(background.T, (1, min(chunk, len(masks))))
-    for start in range(0, len(masks), chunk):
-        on = np.repeat(masks[start : start + chunk].T, B, axis=1)
-        yield np.where(on, x[:, None], back[:, : on.shape[1]]).T
-
-
-def _coalition_values(scores, count: int, B: int) -> np.ndarray:
-    """v(S) = mean over the B background rows of f(x on S, background off S),
-    for `count` coalitions, read from the scores of _coalition_rows' pieces."""
-    values = np.empty(count)
-    start = 0
-    while start < count:
-        out = next(scores).reshape(-1, B)
-        values[start : start + len(out)] = out.mean(axis=1)
-        start += len(out)
-    return values
 
 
 def _wls_design(masks: np.ndarray, weights: np.ndarray):
@@ -365,43 +295,64 @@ def _shap(f, X: np.ndarray, rngs, dataset: Dataset, config: ExplainerConfig):
     empty and full counted as the first two). Attributions solve the
     kernel-weighted least squares under that constraint. With n = 1 there is
     no proper coalition and phi = f(x) - base_value. Each instance of a block
-    has its own background sample, coalitions and solve; only the model
-    calls are shared.
+    has its own background sample, coalitions, model calls and solve.
+
+    An instance's rows are built in place, each call's in one column-major
+    buffer. Its first call holds x (row 0), the B background rows (rows
+    1..B) and as many whole coalitions of B rows as fit within _BLOCK_ROWS,
+    none when B >= _BLOCK_ROWS; later calls hold only whole coalitions, at
+    most _BLOCK_ROWS // B and at least one. A coalition's rows take the
+    tiled background, then x where its repeated mask is on. 4,096 rows of
+    19 columns take about 620 KB, so a call's rows and the scorer's
+    temporary of the same size fit in a 2 MB per-core L2 cache: calls of
+    2,048-8,192 rows timed about level and fastest, 262,144-row calls up to
+    twice as slow, and an 8,192-row cap raised the wide-mixed benchmark's
+    peak RSS by 11 %. Every row is scored on its own, and base_value and
+    each coalition value are means over the same contiguous scores, so
+    neither the cap nor the call shape changes a value.
     """
     n = dataset.n_features
     m = dataset.X_train.shape[0]
     B = min(m, config.shap_background)
     exact = n <= EXACT_SHAP_LIMIT
-    # (masks, weights) per instance, queued by rows() before its rows are scored
-    pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
-
-    def rows():
-        for x, rng in zip(X, rngs):
-            if m > B:
-                background = dataset.X_train[rng.choice(m, B, replace=False)]
-            else:
-                background = dataset.X_train
-            background = np.asfortranarray(background)
-            if exact:
-                masks, weights = _exact_coalitions(n)
-            else:
-                masks, weights = _sample_coalitions(n, config.shap_samples, rng)
-            pending.append((masks, weights))
-            yield background
-            yield x[None, :]
-            yield from _coalition_rows(masks, x, background)
-
-    scores = _score_packed(f, rows())
+    per_call = max(1, _BLOCK_ROWS // B)
     phi = np.empty((len(X), n))
     base = np.empty(len(X))
-    for i in range(len(X)):
-        base[i] = next(scores).mean()
-        fx = float(next(scores)[0])
-        masks, weights = pending.popleft()
-        values = _coalition_values(scores, len(masks), B)
+    for i, (x, rng) in enumerate(zip(X, rngs)):
+        if m > B:
+            background = dataset.X_train[rng.choice(m, B, replace=False)]
+        else:
+            background = dataset.X_train
+        background = np.asfortranarray(background)
+        if exact:
+            masks, weights = _exact_coalitions(n)
+        else:
+            masks, weights = _sample_coalitions(n, config.shap_samples, rng)
+        # built transposed, one contiguous row per column, from operands of
+        # one shape: row k * B + b of a call's coalitions takes background row b
+        back = np.tile(background.T, (1, min(per_call, len(masks))))
+        values = np.empty(len(masks))
+        start, lead = 0, 1 + B  # lead: the rows of x and the background
+        while lead or start < len(masks):
+            count = max(0, (_BLOCK_ROWS - lead) // B) if lead else per_call
+            stop = min(len(masks), start + count)
+            Z = np.empty((lead + (stop - start) * B, n), order="F")
+            ZT = Z.T
+            if lead:
+                ZT[:, 0] = x
+                ZT[:, 1:lead] = background.T
+            on = np.repeat(masks[start:stop].T, B, axis=1)
+            np.copyto(ZT[:, lead:], back[:, : on.shape[1]])
+            np.copyto(ZT[:, lead:], x[:, None], where=on)
+            scores = f(Z)
+            if lead:
+                fx = float(scores[0])
+                base[i] = scores[1:lead].mean()
+            values[start:stop] = scores[lead:].reshape(-1, B).mean(axis=1)
+            start, lead = stop, 0
+        del Z, ZT, on, back, scores  # freed before the next instance's rows are built
         design = _exact_design(n) if exact else _wls_design(masks, weights)
         phi[i] = _solve_constrained_wls(design, values, float(base[i]), fx)
-        del values, design  # freed before the next instance's rows are drawn
     # every instance makes the same number of draws
     sample_count = 2**n if exact else 2 + int(weights.sum())
     return phi, sample_count, base

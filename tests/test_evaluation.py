@@ -14,7 +14,6 @@ from xplain.evaluation import (
     derive_seed,
     evaluate_dataset,
     evaluate_instance,
-    fractional_ranks,
     rank_techniques,
     spearman,
     summarize_scores,
@@ -42,6 +41,34 @@ def brute_force_spearman(a, b):
     da, db = ra - ra.mean(), rb - rb.mean()
     den = math.sqrt(float(da @ da) * float(db @ db))
     return float(da @ db) / den if den else None
+
+
+def reference_ranks(values):
+    """1-based ranks with ties receiving the average of their positions, one
+    run of equal values at a time: the per-vector loop that the block form
+    (evaluation._block_ranks) replaced."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def reference_spearman(a, b):
+    """Two vectors scored as the per-vector form did: the loop's ranks, their
+    own means and dot products."""
+    ra, rb = reference_ranks(a), reference_ranks(b)
+    da, db = ra - ra.mean(), rb - rb.mean()
+    va, vb = float(da @ da), float(db @ db)
+    if va == 0.0 or vb == 0.0:
+        return CorrelationScore(r=0.0, degenerate=True)
+    return CorrelationScore(r=float(da @ db) / float(np.sqrt(va * vb)))
 
 
 class TestSpearman:
@@ -127,7 +154,7 @@ class TestSpearman:
                 lam[2::9, 0] = -0.0
                 lam[2::9, -1] = 0.0
                 block = spearman(phi, lam)
-                rows = [spearman(p, q) for p, q in zip(phi, lam)]
+                rows = [reference_spearman(p, q) for p, q in zip(phi, lam)]
                 assert np.array_equal([s.r for s in block], [s.r for s in rows])
                 assert [s.degenerate for s in block] == [s.degenerate for s in rows]
                 assert any(s.degenerate for s in rows) and not all(s.degenerate for s in rows)
@@ -147,8 +174,31 @@ class TestSpearman:
 
 
 def test_fractional_ranks_ties():
-    ranks = fractional_ranks(np.array([10.0, 20.0, 10.0, 5.0]))
-    assert ranks.tolist() == [2.5, 4.0, 2.5, 1.0]
+    values = np.array([10.0, 20.0, 10.0, 5.0])
+    assert reference_ranks(values).tolist() == [2.5, 4.0, 2.5, 1.0]
+    assert evaluation._block_ranks(values[None]).tolist() == [[2.5, 4.0, 2.5, 1.0]]
+
+
+def test_block_ranks_match_loop_and_vector_scores_keep_their_bits():
+    """The block ranks equal the per-vector loop's, and two vectors, scored
+    as a block of one row, keep the loop form's r (sign included) and
+    degenerate flag, over random pairs with ties (-0.0 with 0.0 among them)
+    at n = 2-59."""
+    rng = np.random.default_rng(17)
+    for n in range(2, 60):
+        for _ in range(30):
+            a = np.round(rng.normal(0, 1, n), int(rng.integers(0, 3)))
+            b = np.round(rng.normal(0, 1, n), int(rng.integers(0, 3)))
+            if rng.random() < 0.3:
+                a[rng.random(n) < 0.5] = -0.0
+            if rng.random() < 0.1:
+                b[:] = b[0]
+            assert np.array_equal(evaluation._block_ranks(np.stack([a, b])),
+                                  [reference_ranks(a), reference_ranks(b)])
+            got, expected = spearman(a, b), reference_spearman(a, b)
+            assert got.degenerate == expected.degenerate
+            assert math.copysign(1.0, got.r) == math.copysign(1.0, expected.r)
+            assert got.r == expected.r
 
 
 class TestEvaluateInstance:

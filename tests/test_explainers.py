@@ -428,65 +428,131 @@ class TestCoalitionGenerators:
             assert weight_of[(~m).tobytes()] == w
 
 
+def _shap_draws(ds, cfg, seed):
+    """The background and coalitions (masks, weights) that explain's SHAP
+    draws for seed, from the same random stream, in the same order."""
+    rng = np.random.default_rng([explainers._RNG_TAG[explainers.SHAP], seed])
+    m, n = ds.X_train.shape
+    B = min(m, cfg.shap_background)
+    background = ds.X_train[rng.choice(m, B, replace=False)] if m > B else ds.X_train
+    if n <= explainers.EXACT_SHAP_LIMIT:
+        return background, *explainers._exact_coalitions(n)
+    return background, *explainers._sample_coalitions(n, cfg.shap_samples, rng)
+
+
+def _reference_shap(model, x, ds, cfg, seed):
+    """(phi, base_value) with f(x), the background and each coalition scored
+    in a call of its own, each coalition's rows in the broadcast np.where
+    form."""
+    background, masks, weights = _shap_draws(ds, cfg, seed)
+    fx = float(predict_logodds(model, x[None])[0])
+    base = float(predict_logodds(model, background).mean())
+    values = np.array([predict_logodds(model, np.where(mask, x, background)).mean()
+                       for mask in masks])
+    if ds.n_features <= explainers.EXACT_SHAP_LIMIT:
+        design = explainers._exact_design(ds.n_features)
+    else:
+        design = explainers._wls_design(masks, weights)
+    return explainers._solve_constrained_wls(design, values, base, fx), base
+
+
+class ShapCallSpy:
+    """A stand-in for predict_logodds that checks every SHAP call against the
+    broadcast form, instance after instance: the first call of an instance
+    must start with x and its background, and every call must go on with the
+    rows of the instance's next whole coalitions, x on each mask and the
+    background off it. Each call is recorded as (instance, lead rows,
+    coalitions)."""
+
+    def __init__(self, X, ds, cfg, seeds):
+        self.draws = [(x, *_shap_draws(ds, cfg, s)[:2]) for x, s in zip(X, seeds)]
+        self.instance, self.done, self.calls = 0, None, []
+
+    def __call__(self, model, Z):
+        x, background, masks = self.draws[self.instance]
+        B = len(background)
+        lead = 0
+        if self.done is None:  # an instance's first call
+            assert np.array_equal(Z[0], x)
+            assert np.array_equal(Z[1 : 1 + B], background)
+            lead, self.done = 1 + B, 0
+        count, rest = divmod(len(Z) - lead, B)
+        assert rest == 0, "a call holds part of a coalition"
+        assert self.done + count <= len(masks), "a call holds rows of the next instance"
+        whole = np.where(masks[self.done : self.done + count, None, :], x, background[None])
+        assert np.array_equal(Z[lead:], whole.reshape(-1, len(x)))
+        self.calls.append((self.instance, lead, count))
+        self.done += count
+        if self.done == len(masks):
+            self.instance, self.done = self.instance + 1, None
+        return predict_logodds(model, Z)
+
+
+def expected_shap_calls(coalitions, B):
+    """(lead rows, coalitions) of each call of an instance with `coalitions`
+    proper coalitions: x, the background and as many whole coalitions as fit
+    within _BLOCK_ROWS, then calls of at most _BLOCK_ROWS // B coalitions and
+    at least one."""
+    cap = explainers._BLOCK_ROWS
+    first = min(coalitions, max(0, (cap - 1 - B) // B))
+    per_call = max(1, cap // B)
+    rest = coalitions - first
+    return [(1 + B, first)] + [(0, min(per_call, rest - k)) for k in range(0, rest, per_call)]
+
+
 class TestCoalitionValues:
-    """Coalition rows come in pieces of whole coalitions and are scored in
-    packed model calls; neither may change any value."""
+    """explain's SHAP builds each call's rows in place, column-major: x, the
+    background and whole coalitions. The rows must be those of the broadcast
+    np.where form, and neither their layout nor the call shape may change
+    phi or base_value."""
 
     @staticmethod
-    def _case(n, B, masks, seed=0):
-        rng = np.random.default_rng(seed)
+    def _case(n, B, sampled, monkeypatch, instances=2):
+        """explain's SHAP over `instances` rows of a GNB dataset with B + 40
+        training rows, through ShapCallSpy; checks phi and base_value against
+        _reference_shap and returns the spy."""
+        rng = np.random.default_rng(n + B)
         X = rng.normal(0, 1, (B + 40, n)) * rng.uniform(0.5, 2.0, n)
         y = (rng.random(len(X)) < 0.5).astype(int)
         y[:2] = [0, 1]
         model = train_gnb(X, y)
-        calls = []
-
-        def f(Z):
-            calls.append(len(Z))
-            return predict_logodds(model, Z)
-
-        x, background = X[-1], X[:B]
-        pieces = explainers._coalition_rows(masks, x, background)
-        values = explainers._coalition_values(
-            explainers._score_packed(f, pieces), len(masks), B)
-        whole = np.where(masks[:, None, :], x, background[None, :, :])
-        single = predict_logodds(model, whole.reshape(-1, n)).reshape(len(masks), B).mean(axis=1)
-        return values, single, calls
+        ds = numeric_dataset(X, y_train=y)
+        cfg = ExplainerConfig(shap_samples=1300, shap_background=B)
+        assert (n > explainers.EXACT_SHAP_LIMIT) == sampled
+        x, seeds = X[-instances:], list(range(1, instances + 1))
+        spy = ShapCallSpy(x, ds, cfg, seeds)
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        e = explain("shap", "logodds", model, x, ds, cfg, seeds)
+        monkeypatch.undo()
+        assert spy.instance == instances
+        for i in range(instances):
+            phi, base = _reference_shap(model, x[i], ds, cfg, seeds[i])
+            assert np.array_equal(e.phi[i], phi)
+            assert e.base_value[i] == base
+        return spy
 
     @pytest.mark.parametrize("n,B,sampled", [(4, 3, False), (12, 3, False), (12, 100, False),
                                              (19, 350, True), (5, 5000, False)])
-    def test_rows_match_broadcast_form(self, n, B, sampled):
-        """Pieces built transposed from same-shape operands hold the rows of
-        the broadcast np.where, in its order: full chunks, a short last
-        chunk, and one coalition per piece when B exceeds _BLOCK_ROWS."""
-        rng = np.random.default_rng(n + B)
-        if sampled:
-            masks, _ = explainers._sample_coalitions(n, 1300, rng)
-        else:
-            masks, _ = explainers._exact_coalitions(n)
-        x, background = rng.normal(0, 1, n), rng.normal(0, 1, (B, n))
-        pieces = list(explainers._coalition_rows(masks, x, background))
-        chunk = max(1, explainers._BLOCK_ROWS // B)
-        assert [len(p) for p in pieces[:-1]] == [chunk * B] * (len(pieces) - 1)
-        assert all(p.flags.f_contiguous for p in pieces)
-        whole = np.where(masks[:, None, :], x, background[None, :, :]).reshape(-1, n)
-        assert np.array_equal(np.concatenate(pieces), whole)
+    def test_rows_match_broadcast_form(self, n, B, sampled, monkeypatch):
+        """Every call holds the broadcast form's rows in its order: full
+        calls, a short last call, and one coalition per call when B exceeds
+        _BLOCK_ROWS."""
+        spy = self._case(n, B, sampled, monkeypatch)
+        for i, (_, _, masks) in enumerate(spy.draws):
+            calls = [(lead, count) for k, lead, count in spy.calls if k == i]
+            assert calls == expected_shap_calls(len(masks), B)
 
     @pytest.mark.parametrize("n,B,sampled", [(12, 3, False), (19, 350, True), (12, 5000, False)])
-    def test_blocks_match_one_call(self, n, B, sampled):
-        if sampled:
-            masks, _ = explainers._sample_coalitions(n, 1300, np.random.default_rng(1))
-        else:
-            masks, _ = explainers._exact_coalitions(n)
-            if B > 4096:
-                masks = masks[::64]  # a slice of the design keeps the reference call small
-        values, single, calls = self._case(n, B, masks)
-        assert np.array_equal(values, single)
-        assert len(calls) > 1
-        assert max(calls) <= max(4096, B)
-        assert sum(calls) == len(masks) * B
-        if B > 4096:
-            assert calls == [B] * len(masks)
+    def test_blocks_match_one_call(self, n, B, sampled, monkeypatch):
+        """An instance's coalitions span several calls; their values are those
+        of each coalition scored in a call of its own."""
+        spy = self._case(n, B, sampled, monkeypatch, instances=1)
+        assert len(spy.calls) > 1
+        sizes = [lead + count * B for _, lead, count in spy.calls]
+        assert max(sizes) <= max(explainers._BLOCK_ROWS, 1 + B)
+        assert sum(sizes) == 1 + B + len(spy.draws[0][2]) * B
+        if B > explainers._BLOCK_ROWS:
+            assert sizes == [1 + B] + [B] * len(spy.draws[0][2])
 
 
 class TestGnbAdditiveOracle:
@@ -653,8 +719,8 @@ def test_sampled_shap_is_closed_form_on_wide_mixed(tmp_path):
 
 class TestBlocks:
     """explain() over a block (k, n) with k seeds equals, bit for bit, the k
-    single-instance explanations stacked, however the instances' rows pack
-    into model calls."""
+    single-instance explanations stacked, and each model call holds the rows
+    of one instance."""
 
     @staticmethod
     def _case(name, tmp_path):
@@ -697,10 +763,17 @@ class TestBlocks:
                     self._assert_block_is_stacked_singles(
                         technique, target, model, X, ds, cfg, seeds)
 
-    @pytest.mark.parametrize("name,calls", [("iris_binary", 1), ("wide-mixed", 16)])
-    def test_shap_call_packing(self, name, calls, tmp_path, monkeypatch):
-        """iris_binary: 76 rows per instance, so all four instances share one
-        call; wide-mixed: each instance's coalitions span several calls."""
+    @pytest.mark.parametrize("name,calls", [
+        # 76 rows per instance: x, 5 background rows and 14 coalitions of 5
+        ("iris_binary", [[76]] * 4),
+        # 40 background rows and 212-246 distinct coalitions per instance:
+        # x, the background and 101 coalitions, then 102, then the rest
+        ("wide-mixed", [[4081, 4080, 840], [4081, 4080, 360], [4081, 4080, 1320],
+                        [4081, 4080, 1720]]),
+    ], ids=["iris_binary", "wide-mixed"])
+    def test_shap_calls_per_instance(self, name, calls, tmp_path, monkeypatch):
+        """Each instance's rows are scored in calls of its own, within
+        _BLOCK_ROWS; no row is scored twice or left out."""
         ds, cfg, (lr, _) = self._case(name, tmp_path)
         sizes = []
 
@@ -709,15 +782,88 @@ class TestBlocks:
             return predict_logodds(model, X)
 
         monkeypatch.setattr(explainers, "predict_logodds", spy)
-        X = ds.X_test[:4]
-        explain("shap", "logodds", lr, X, ds, cfg, [1, 2, 3, 4])
-        assert len(sizes) == calls
+        X, seeds = ds.X_test[:4], [1, 2, 3, 4]
+        explain("shap", "logodds", lr, X, ds, cfg, seeds)
+        assert sizes == [size for instance in calls for size in instance]
         assert max(sizes) <= explainers._BLOCK_ROWS
+        B = cfg.shap_background
+        assert sum(sizes) == sum(1 + B + len(_shap_draws(ds, cfg, s)[1]) * B for s in seeds)
+
+    @pytest.mark.parametrize("name", ["iris_binary", "categorical", "wide-mixed"])
+    def test_each_call_holds_one_instance(self, name, tmp_path, monkeypatch):
+        """Every model call of every technique holds the rows of exactly one
+        instance: a block's calls are, row for row, the calls that explain
+        makes for its instances one at a time."""
+        ds, cfg, (lr, _) = self._case(name, tmp_path)
+        X, seeds = ds.X_test[:4], [1, 2, 3, 4]
+        calls = []
+
+        def spy(model, Z):
+            calls.append(Z.copy())
+            return predict_logodds(model, Z)
+
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        for technique in TECHNIQUES:
+            calls.clear()
+            explain(technique, "logodds", lr, X, ds, cfg, seeds)
+            block = list(calls)
+            calls.clear()
+            for x, seed in zip(X, seeds):
+                explain(technique, "logodds", lr, x, ds, cfg, seed)
+            assert len(block) == len(calls), technique
+            assert all(np.array_equal(a, b) for a, b in zip(block, calls)), technique
+
+    @pytest.mark.parametrize("n,B", [
+        (3, 1), (3, 2047), (3, 2048), (3, 4095), (3, 4096), (3, 5000), (15, 600)])
+    def test_shap_calls_hold_whole_coalitions_within_cap(self, n, B, monkeypatch):
+        """Every SHAP call holds whole coalitions of one instance within
+        _BLOCK_ROWS, after x and the background in its first call; only a
+        coalition of B > _BLOCK_ROWS rows, or x and B >= _BLOCK_ROWS
+        background rows, make a call of more."""
+        cap = explainers._BLOCK_ROWS
+        rng = np.random.default_rng(n * B)
+        ds = numeric_dataset(rng.normal(0, 1, (B + 3, n)))
+        model = linear_model(rng.normal(0, 1, n), 0.3)
+        cfg = ExplainerConfig(shap_samples=200, shap_background=B)
+        X, seeds = ds.X_train[-2:], [5, 6]
+        spy = ShapCallSpy(X, ds, cfg, seeds)
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        explain("shap", "logodds", model, X, ds, cfg, seeds)
+        assert spy.instance == len(X)
+        for _, lead, count in spy.calls:
+            if lead + count * B > cap:
+                assert (lead, count) in ((1 + B, 0), (0, 1)) and B + lead > cap
+        for i, (_, _, masks) in enumerate(spy.draws):
+            assert [c[1:] for c in spy.calls if c[0] == i] == expected_shap_calls(len(masks), B)
+
+    def test_shap_single_feature_one_call(self, monkeypatch):
+        """n = 1 has no proper coalition: one call of x and the background per
+        instance, and phi = f(x) - base_value exactly."""
+        rng = np.random.default_rng(13)
+        ds = numeric_dataset(rng.normal(0, 1, (40, 1)))
+        model = linear_model([1.7], -0.4)
+        cfg = ExplainerConfig(shap_background=25)
+        X, seeds = ds.X_test[:3], [1, 2, 3]
+        sizes = []
+
+        def spy(model, Z):
+            sizes.append(len(Z))
+            return predict_logodds(model, Z)
+
+        monkeypatch.setattr(explainers, "predict_logodds", spy)
+        e = explain("shap", "logodds", model, X, ds, cfg, seeds)
+        monkeypatch.undo()
+        assert sizes == [1 + 25] * 3
+        fx = predict_logodds(model, X)
+        assert np.array_equal(e.phi[:, 0], fx - e.base_value)
+        for i, seed in enumerate(seeds):
+            background = _shap_draws(ds, cfg, seed)[0]
+            assert e.base_value[i] == predict_logodds(model, background).mean()
 
     @pytest.mark.parametrize("samples", [100, 300])
     def test_lime_scores_each_instance_in_its_own_call(self, samples, monkeypatch):
-        """LIME's S perturbations of an instance are one model call, whether or
-        not S is small enough for SHAP and LPI to pack it with others."""
+        """LIME's S perturbations of an instance are one model call, whether S
+        is below or above 256 rows."""
         ds = categorical_dataset()
         cfg = ExplainerConfig(lime_samples=samples)
         gnb = train_gnb(ds.X_train, ds.y_train)
@@ -834,9 +980,11 @@ class TestLayout:
         monkeypatch.setattr(explainers, "predict_logodds", spy)
         for name in ("iris_binary", "categorical", "wide-mixed"):
             ds, cfg, (lr, _) = TestBlocks._case(name, tmp_path)
-            # SHAP pieces packed into calls, then SHAP backgrounds scored alone;
-            # LPI makes one call per instance at both sizes
-            for size in (90, explainers._PACK_ROWS + 1):
+            # 257: one row more than the largest piece SHAP once packed into
+            # calls shared across instances, kept so that both sizes still
+            # reach the calls each shape made. LPI makes one call per
+            # instance at both sizes
+            for size in (90, 257):
                 cfg = dataclasses.replace(cfg, lpi_samples=size,
                                           shap_samples=300, shap_background=size)
                 for technique in TECHNIQUES:
